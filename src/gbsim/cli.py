@@ -8,6 +8,7 @@ and flags; anything time-dependent goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -37,14 +38,30 @@ EXIT_NUMERICAL = 2
 EXIT_FORMAT = 3
 
 
+def _list_argument(parse):
+    """A malformed list argument is a format error (exit 3), not a numerical one."""
+
+    @functools.wraps(parse)
+    def checked(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise FormatError(f"malformed list argument {text!r}: {exc}") from None
+
+    return checked
+
+
+@_list_argument
 def _parse_floats(text):
     return tuple(float(x) for x in text.split(",")) if text else ()
 
 
+@_list_argument
 def _parse_ints(text):
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+@_list_argument
 def _parse_range(text):
     if ":" in text:
         lo, hi = text.split(":")
@@ -134,7 +151,7 @@ def cmd_prob(args):
 
 def cmd_dist(args):
     state = serialize.load_state(args.state)
-    dist = distribution(state, threads=args.threads)
+    dist = distribution(state)
     if args.out:
         serialize.save_distribution(dist, args.out)
         _emit({"modes": dist.modes, "normalization_defect": dist.normalization_defect, "out": args.out}, None)
@@ -240,7 +257,8 @@ def cmd_bench(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="gbsim", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (required for stochastic commands)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads; never changes results")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads; can speed up tor, and prob above 13 clicks; never changes results")
     parser.add_argument("--tolerance", type=float, default=1e-10,
                         help="numeric tolerance (used by cv inverse-CDF sampling)")
     sub = parser.add_subparsers(dest="command", required=True)

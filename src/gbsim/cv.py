@@ -228,39 +228,7 @@ def sample_outcomes(density, n, rng, tol=CDF_TOL):
     sig_x = np.sqrt(density.covs[:, 0, 0])
     xs = _invert_mixture_cdf(u[:, 0], density.weights, density.means[:, 0], sig_x, tol)
     w, mu, var = density._conditional_components(xs)
-    ps = np.empty(n)
-    # conditional parameters differ per draw; bisection still vectorizes
-    sig = np.sqrt(var)
-    lo = (mu - 12 * sig).min(axis=1)
-    hi = (mu + 12 * sig).max(axis=1)
-
-    def cdf(x):
-        return np.sum(ndtr((x[:, None] - mu) / sig) * w, axis=1)
-
-    target = u[:, 1]
-    for _ in range(64):
-        bad = cdf(lo) > target
-        if not bad.any():
-            break
-        lo = np.where(bad, lo - (hi - lo), lo)
-    for _ in range(64):
-        bad = cdf(hi) < target
-        if not bad.any():
-            break
-        hi = np.where(bad, hi + (hi - lo), hi)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        err = cdf(x) - target
-        done = np.abs(err) <= tol
-        width_ok = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))
-        if np.all(done | width_ok):
-            break
-        hi = np.where(err > 0, x, hi)
-        lo = np.where(err > 0, lo, x)
-        x = 0.5 * (lo + hi)
-    else:
-        raise NumericalError("conditional inverse-CDF bisection did not converge")
-    ps[:] = x
+    ps = _invert_mixture_cdf(u[:, 1], w, mu, np.sqrt(var), tol)
     return np.column_stack([xs, ps])
 
 

@@ -2,7 +2,7 @@
 
 ``hafnian_naive`` enumerates perfect matchings straight from the definition
 and serves as the oracle. ``hafnian_powerset`` evaluates the power-set
-trace formula
+trace formula (Bjorklund-Gupt-Quesada, arXiv:1805.12498)
 
     Haf(A) = sum over subsets Z of [l] of (-1)^(l - |Z|) f((A X)_(Z))
 
@@ -11,6 +11,12 @@ det(1 - eta C)^(-1/2) and the reduction keeps rows/columns {Z, Z + l}. The
 complement sign and the post-multiplication by X are fixed by agreement
 with the naive evaluator (exercised in the test suite and by the
 ``validate`` command); flipping either breaks 4x4 random inputs.
+
+The subset sum runs on the power-set engine of ``torontonian``: masks in
+chunks, each chunk grouped by popcount, the power traces of every group
+taken in one batched call and the exp-of-power-sums recurrence run over
+the whole group, the signed terms summed exactly by fsum. The same engine
+gives ``hafnian_from_torontonian`` through ``torontonian_series``.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ import numpy as np
 
 from .errors import NumericalError
 from .gaussian import KernelMatrix, block_swap
-from .torontonian import torontonian_series
+from .torontonian import _exp_series, _power_traces, _powerset_sum, torontonian_series
 
 NAIVE_MAX_DIM = 16  # (2m-1)!! growth; oracle scale
 POWERSET_MAX_DIM = 30
-_EIGENVALUE_TRACE_DIM = 8  # below this, traces come from explicit matrix powers
 
 # Mutation hooks for the validation driver; never set in production code.
 _WRONG_REDUCTION = False
@@ -77,50 +82,13 @@ def f_coefficient(C, order):
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("matrix must be square")
-    if order == 0:
-        return complex(1.0)
-    if C.shape[0] == 0:
-        return complex(0.0)
-    return complex(_exp_series_coefficient(_power_traces(C, order), order))
-
-
-def _power_traces(C, order):
-    """[Tr(C), Tr(C^2), ..., Tr(C^order)] as Python complex numbers."""
-    traces = []
-    if C.shape[0] >= _EIGENVALUE_TRACE_DIM:
-        eigs = np.linalg.eigvals(C)
-        current = eigs.copy()
-        traces.append(complex(current.sum()))
-        for _ in range(order - 1):
-            current *= eigs
-            traces.append(complex(current.sum()))
-    else:
-        power = C
-        traces.append(complex(power.trace()))
-        for _ in range(order - 1):
-            power = power @ C
-            traces.append(complex(power.trace()))
-    return traces
-
-
-def _exp_series_coefficient(traces, order):
-    """[eta^order] of exp(sum_k traces[k-1] eta^k / (2k)) by the exp-of-series recurrence."""
-    a = [0j] + [traces[k - 1] / (2 * k) for k in range(1, order + 1)]
-    coeff = [1.0 + 0j] + [0j] * order
-    for m in range(1, order + 1):
-        acc = 0j
-        for j in range(1, m + 1):
-            acc += j * a[j] * coeff[m - j]
-        coeff[m] = acc / m
-    return coeff[order]
+    return complex(_exp_series(_power_traces(C[None], order))[0, order])
 
 
 def hafnian_powerset(A):
     """Hafnian via the power-set trace formula (2^l terms)."""
     A = _check_symmetric(A)
     n = A.shape[0]
-    if n == 0:
-        return complex(1.0)
     if n > POWERSET_MAX_DIM:
         raise ValueError(f"power-set Hafnian limited to dimension {POWERSET_MAX_DIM}")
     half = n // 2
@@ -128,18 +96,8 @@ def hafnian_powerset(A):
         AX = A  # deliberately broken arrangement for the mutation test
     else:
         AX = A[:, list(range(half, n)) + list(range(half))]
-    total = 0j
-    for mask in range(1 << half):
-        idx = [i for i in range(half) if mask >> i & 1]
-        if not idx:
-            continue  # f of the empty matrix vanishes for order >= 1
-        rows = np.array(idx + [i + half for i in idx])
-        sub = AX[rows[:, None], rows[None, :]]
-        sign = -1.0 if (half - len(idx)) % 2 else 1.0
-        if _SIGN_FLIP:
-            sign = -sign
-        total += sign * _exp_series_coefficient(_power_traces(sub, half), half)
-    return complex(total)
+    total, _ = _powerset_sum(AX, half, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])
+    return complex(-total if _SIGN_FLIP else total)
 
 
 def hafnian_from_torontonian(O):

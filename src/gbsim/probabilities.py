@@ -198,7 +198,7 @@ class ThresholdDistribution:
         return 0.5 * sum(abs(self.table.get(k, 0.0) - other_table.get(k, 0.0)) for k in keys)
 
 
-def distribution(state, threads=1):
+def distribution(state):
     """Enumerate threshold probabilities for every click pattern (l <= 12)."""
     _require_zero_mean(state)
     if state.modes > ENUMERATION_MODES:
@@ -208,7 +208,7 @@ def distribution(state, threads=1):
     for mask in range(1 << state.modes):
         clicked = tuple(i + 1 for i in range(state.modes) if mask >> i & 1)
         mult = [1 if i + 1 in clicked else 0 for i in range(state.modes)]
-        tor = torontonian(reduce_matrix(kernel.matrix, mult), threads=threads)
+        tor = torontonian(reduce_matrix(kernel.matrix, mult))
         table[clicked] = _clamp_probability(tor.value / sqdet, f"distribution{clicked}")
     defect = math.fsum(table.values()) - 1.0
     return ThresholdDistribution(state.modes, table, defect)

@@ -1,4 +1,4 @@
-"""Torontonian evaluation by direct power-set summation.
+"""Torontonian evaluation by direct power-set summation, and the power-set engine.
 
 The Torontonian of a 2N x 2N Hermitian kernel with the (alpha, alpha*)
 block structure is
@@ -9,10 +9,15 @@ where O_(Z) keeps rows and columns {Z, Z + N}. The sign is attached to the
 kept subset so that the empty subset contributes (-1)^N; with this
 convention Tor is a probability weight: Tor([[0, t], [t, 0]]) = 1/sqrt(1 - t^2) - 1.
 
-Terms are evaluated in bitmask order (mask 0 .. 2^N - 1, bit k = mode k+1)
-in fixed-size chunks. Each chunk is summed exactly (Shewchuk/fsum) and the
-chunk partials are reduced in index order, so the value is bitwise
-reproducible for any worker-thread count.
+One engine evaluates every signed sum of this shape: the Torontonian
+(batched Cholesky), its eta series (batched eigvalsh, then the
+exp-of-power-sums recurrence) and the power-set Hafnian in ``hafnian``
+(batched power traces, same recurrence). It walks the masks in bitmask
+order (mask 0 .. 2^N - 1, bit k = mode k+1) in chunks of 2^CHUNK_BITS,
+groups each chunk by popcount and evaluates every group's stack of
+reduced blocks in one batched call. Each chunk is summed exactly
+(Shewchuk/fsum) and the chunk partials are reduced in index order, so
+every result is bitwise reproducible for any worker-thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .gaussian import KernelMatrix
 
 CHUNK_BITS = 13  # 8192 subsets per summation chunk
 CANCELLATION_RATIO = 1e12
+_EIGENVALUE_TRACE_DIM = 8  # below this, power traces come from explicit matrix powers
 
 # Flipped by the validation mutation tests only; never set in production code.
 _SIGN_FLIP = False
@@ -67,46 +73,127 @@ def _subset_indices(masks, modes):
     return np.concatenate([idx, idx + modes], axis=1)
 
 
-def _chunk_terms(O, modes, start, stop):
-    """Signed terms for masks in [start, stop), in mask order."""
+def _chunk_terms(M, modes, start, stop, evaluate):
+    """Signed terms (-1)^(N - |Z|) evaluate(M_(Z)) for masks in [start, stop), in mask order.
+
+    ``evaluate`` maps a (B, 2k, 2k) stack of reduced blocks, all of one
+    subset size k, to B values of any trailing shape; the empty subset
+    arrives as a (B, 0, 0) stack. It raises LinAlgError only when some
+    1 - M_(Z) of the stack is not positive definite.
+    """
     masks = np.arange(start, stop, dtype=np.int64)
     sizes = np.zeros(len(masks), dtype=np.int64)
     m = masks.copy()
     while m.any():
         sizes += m & 1
         m >>= 1
-    terms = np.empty(len(masks))
+    terms = None
     for k in np.unique(sizes):
         sel = sizes == k
-        if k == 0:
-            terms[sel] = (-1.0) ** modes
-            continue
         rows = _subset_indices(masks[sel], modes)
-        sub = O[rows[:, :, None], rows[:, None, :]]
-        mat = np.eye(2 * k) - sub
+        blocks = M[rows[:, :, None], rows[:, None, :]]
         try:
-            chol = np.linalg.cholesky(mat)
+            values = evaluate(blocks)
         except np.linalg.LinAlgError:
-            _locate_failure(mat, masks[sel], modes)
+            _locate_failure(blocks, masks[sel], modes, evaluate)
             raise
-        logdiag = np.log(np.abs(np.diagonal(chol, axis1=1, axis2=2)))
+        if terms is None:
+            terms = np.empty((len(masks),) + values.shape[1:], dtype=values.dtype)
         sign = -1.0 if (modes - k) % 2 else 1.0
-        terms[sel] = sign * np.exp(-logdiag.sum(axis=1))
-    if _SIGN_FLIP:
-        terms = -terms
+        terms[sel] = sign * values
     return terms
 
 
-def _locate_failure(mats, masks, modes):
-    for mat, mask in zip(mats, masks):
+def _locate_failure(blocks, masks, modes, evaluate):
+    for block, mask in zip(blocks, masks):
         try:
-            np.linalg.cholesky(mat)
+            evaluate(block[None])
         except np.linalg.LinAlgError:
             subset = [i + 1 for i in range(modes) if int(mask) >> i & 1]
             raise PhysicalityError(
                 f"1 - O_(Z) is not positive definite for subset Z = {subset}; "
                 "the kernel does not come from a physical state"
             ) from None
+
+
+def _fsum(terms):
+    """Exact (Shewchuk) sum over the first axis, real and imaginary parts apart."""
+    if np.iscomplexobj(terms):
+        return _fsum(terms.real) + 1j * _fsum(terms.imag)
+    if terms.ndim == 1:
+        return math.fsum(terms)
+    return np.array([math.fsum(column) for column in terms.T])
+
+
+def _chunk_size(modes):
+    return 1 << min(modes, CHUNK_BITS)
+
+
+def _powerset_sum(M, modes, evaluate, threads=1):
+    """Signed sum of ``evaluate`` over all 2^N reduced blocks of M (see ``_chunk_terms``).
+
+    Returns (sum, largest term magnitude). Each chunk is summed exactly and
+    the chunk partials are reduced in index order, so the sum is bitwise
+    identical for every thread count.
+    """
+    total = 1 << modes
+    chunk = _chunk_size(modes)
+
+    def run(start):
+        terms = _chunk_terms(M, modes, start, min(start + chunk, total), evaluate)
+        return _fsum(terms), float(np.abs(terms).max())
+
+    starts = range(0, total, chunk)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(run, starts))
+    else:
+        partials = [run(s) for s in starts]
+    return _fsum(np.array([p[0] for p in partials])), max(p[1] for p in partials)
+
+
+def _inverse_sqrt_det(blocks):
+    """det(1 - C)^(-1/2) per block, from a batched Cholesky factorisation."""
+    chol = np.linalg.cholesky(np.eye(blocks.shape[-1]) - blocks)
+    logdiag = np.log(np.abs(np.diagonal(chol, axis1=1, axis2=2)))
+    return np.exp(-logdiag.sum(axis=1))
+
+
+def _power_traces(blocks, order, hermitian=False):
+    """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order).
+
+    Hermitian stacks use eigvalsh. Other stacks use eigvals at
+    d >= _EIGENVALUE_TRACE_DIM and explicit matrix powers below it.
+    """
+    traces = np.empty((len(blocks), order), dtype=float if hermitian else complex)
+    if hermitian or blocks.shape[-1] >= _EIGENVALUE_TRACE_DIM:
+        eigs = np.linalg.eigvalsh(blocks) if hermitian else np.linalg.eigvals(blocks)
+        power = eigs
+        for k in range(order):
+            if k:
+                power = power * eigs
+            traces[:, k] = power.sum(axis=-1)
+    else:
+        power = blocks
+        for k in range(order):
+            if k:
+                power = power @ blocks
+            traces[:, k] = np.trace(power, axis1=1, axis2=2)
+    return traces
+
+
+def _exp_series(traces):
+    """Coefficients 0..K of exp(sum_k traces[:, k-1] eta^k / (2k)), one row per block.
+
+    With traces[:, k-1] = Tr(C^k), k = 1..K, this is the eta series of
+    det(1 - eta C)^(-1/2) to order K. Recurrence: m c_m = sum_{j=1..m} (Tr(C^j) / 2) c_(m-j).
+    """
+    half_traces = traces / 2
+    coeff = np.zeros((len(traces), traces.shape[1] + 1), dtype=traces.dtype)
+    coeff[:, 0] = 1.0
+    for m in range(1, coeff.shape[1]):
+        coeff[:, m] = (half_traces[:, :m] * coeff[:, m - 1::-1]).sum(axis=1) / m
+    return coeff
 
 
 def torontonian(O, threads=1):
@@ -126,29 +213,17 @@ def torontonian(O, threads=1):
     modes = O.shape[0] // 2
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False)
-    total_masks = 1 << modes
-    chunk = min(total_masks, 1 << CHUNK_BITS)
-    starts = list(range(0, total_masks, chunk))
-
-    def run(start):
-        terms = _chunk_terms(O, modes, start, min(start + chunk, total_masks))
-        return math.fsum(terms), float(np.abs(terms).max())
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, starts))
-    else:
-        partials = [run(s) for s in starts]
-    value = math.fsum(p[0] for p in partials)
-    max_term = float(max(p[1] for p in partials))
+    value, max_term = _powerset_sum(O, modes, _inverse_sqrt_det, threads)
+    if _SIGN_FLIP:
+        value = -value
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
     warn = bool(max_term > CANCELLATION_RATIO * max(abs(value), np.finfo(float).tiny))
     return TorontonianResult(
         value=value,
-        terms=total_masks,
+        terms=1 << modes,
         max_term_magnitude=max_term,
-        summation=f"chunked-fsum({chunk})/ordered-reduce",
+        summation=f"chunked-fsum({_chunk_size(modes)})/ordered-reduce",
         cancellation_warning=warn,
     )
 
@@ -173,20 +248,6 @@ def subset_determinant(O, subset):
     return float(np.prod(np.abs(np.diagonal(chol)) ** 2))
 
 
-def _powersum_series(eigs, order):
-    """Taylor coefficients (length order+1) of det(1 - eta C)^(-1/2) from eigenvalues."""
-    coeff = np.zeros(order + 1, dtype=complex)
-    coeff[0] = 1.0
-    if len(eigs) == 0:
-        return coeff
-    a = np.zeros(order + 1, dtype=complex)
-    for k in range(1, order + 1):
-        a[k] = np.sum(eigs ** k) / (2 * k)
-    for m in range(1, order + 1):
-        coeff[m] = sum(j * a[j] * coeff[m - j] for j in range(1, m + 1)) / m
-    return coeff
-
-
 def torontonian_series(O, order):
     """Power-series coefficients c_0 .. c_order of Tor(eta * O) in eta.
 
@@ -197,23 +258,7 @@ def torontonian_series(O, order):
     if order < 0:
         raise ValueError("order must be nonnegative")
     O = _as_matrix(O)
-    modes = O.shape[0] // 2
-    out = np.zeros(order + 1)
-    if modes == 0:
-        out[0] = 1.0
-        return out
-    acc = np.zeros(order + 1, dtype=complex)
-    for mask in range(1 << modes):
-        idx = [i for i in range(modes) if mask >> i & 1]
-        sign = -1.0 if (modes - len(idx)) % 2 else 1.0
-        if _SIGN_FLIP:
-            sign = -sign
-        if not idx:
-            acc[0] += sign
-            continue
-        rows = np.array(idx + [i + modes for i in idx])
-        eigs = np.linalg.eigvalsh(O[np.ix_(rows, rows)])
-        acc += sign * _powersum_series(eigs.astype(complex), order)
-    if np.abs(acc.imag).max() > 1e-9 * max(1.0, np.abs(acc.real).max()):
-        raise NumericalError("Torontonian series produced a non-real coefficient")
-    return acc.real
+    coeffs, _ = _powerset_sum(
+        O, O.shape[0] // 2, lambda blocks: _exp_series(_power_traces(blocks, order, hermitian=True))
+    )
+    return -coeffs if _SIGN_FLIP else coeffs

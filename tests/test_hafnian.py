@@ -98,7 +98,7 @@ class TestPowerset:
         assert hafnian_powerset(A) == pytest.approx(2.5)
 
     def test_matches_naive_random(self, rng):
-        for dim in (2, 4, 6, 8, 10):
+        for dim in (2, 4, 6, 8, 10, 12, 14):
             for _ in range(20):
                 A = random_symmetric(dim, rng)
                 ref = hafnian_naive(A)

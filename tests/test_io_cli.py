@@ -70,6 +70,22 @@ class TestCliExitCodes:
         save_matrix(np.array([[0, 1.5], [1.5, 0]], dtype=complex), bad)
         assert run_cli("tor", bad) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prob", "{state}", "--pattern", "1,x"),
+            ("prep", "--squeeze", "0.5,abc", "--out", "{out}"),
+            ("--seed", "1", "sample", "{state}", "-n", "2", "--order", "1,a", "--out", "{out}"),
+            ("herald", "{state}", "--click", "z"),
+            ("bench", "--kind", "tor", "--sizes", "1:b"),
+        ],
+    )
+    def test_malformed_list_argument_is_format_error(self, tmp_path, argv):
+        state_path = tmp_path / "sq.json"
+        save_state(squeezed_state([0.5, 0.5]), state_path)
+        out = tmp_path / "out.json"
+        assert run_cli(*(a.format(state=state_path, out=out) for a in argv)) == 3
+
     def test_success_is_zero(self, tmp_path):
         path = tmp_path / "kernel.json"
         t = math.tanh(1.0)
