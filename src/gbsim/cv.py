@@ -23,7 +23,7 @@ from scipy.stats import qmc
 
 from .errors import NumericalError
 from .gaussian import QuadratureState
-from .sampler import GaussianMixture, herald, mixture_apply_interferometer, sample_mixture
+from .sampler import GaussianMixture, _mode_position, herald, mixture_apply_interferometer, sample_mixture
 
 NEGATIVITY_PROBES = 10_000
 NEGATIVITY_TOL = -1e-9
@@ -69,9 +69,7 @@ def marginal(mixture, mode):
     """Single-mode marginal of a mixture: 2x2 blocks, weights unchanged."""
     if isinstance(mixture, QuadratureState):
         mixture = GaussianMixture.from_state(mixture)
-    pos = mixture.labels.index(mode) if mode in mixture.labels else None
-    if pos is None:
-        raise ValueError(f"mode {mode} not present (remaining: {mixture.labels})")
+    pos = _mode_position(mixture, mode)
     m = mixture.modes
     idx = np.array([pos, pos + m])
     return GaussianMixture(
@@ -249,10 +247,7 @@ def backaction(mixture, mode, povm, outcome):
     outcome = np.asarray(outcome, dtype=float).reshape(2)
     if not np.all(np.isfinite(outcome)):
         raise ValueError("outcome must be finite")
-    try:
-        pos = mixture.labels.index(mode)
-    except ValueError:
-        raise ValueError(f"mode {mode} not present (remaining: {mixture.labels})") from None
+    pos = _mode_position(mixture, mode)
     m = mixture.modes
     bidx = np.array([pos, pos + m])
     aidx = np.array([i for i in range(2 * m) if i != pos and i != pos + m], dtype=int)

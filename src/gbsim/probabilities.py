@@ -4,6 +4,10 @@ Threshold probabilities are Torontonians of reduced kernels, PNR
 probabilities are Hafnians, and the collision probability ties the two
 distributions together: the L1 distance between the PNR and threshold
 distributions equals the total collision probability.
+
+The whole distribution and the collision gaps take Tor(O_(S)) and
+Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S)) for every click set S from one
+power-set engine pass each over the full kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .gaussian import (
     sqrt_det_sigma,
 )
 from .hafnian import hafnian_xo
-from .torontonian import torontonian
+from .torontonian import _eta_series, _inverse_sqrt_det, _subset_sums, torontonian
 
 log = logging.getLogger(__name__)
 
@@ -81,11 +85,7 @@ def pnr_prob(state, pattern):
     if not isinstance(pattern, PNRPattern):
         pattern = PNRPattern(state.modes, tuple(pattern))
     sigma, kernel, sqdet = state_kernel(state)
-    reduced = reduce_matrix(kernel.matrix, pattern)
-    if reduced.shape[0] == 0:
-        haf = 1.0
-    else:
-        haf = hafnian_xo(reduced)
+    haf = hafnian_xo(reduce_matrix(kernel.matrix, pattern))
     denom = sqdet * math.prod(math.factorial(c) for c in pattern.counts)
     return _clamp_probability(haf / denom, "pnr_prob")
 
@@ -166,7 +166,7 @@ def tor_as_hafnian_sum(state, pattern, photon_cutoff):
     if pattern.size == 0:
         partials = [(0, 1.0)]
         running = 1.0
-    moments = _state_photon_moments(state)
+    moments = _auto_photon_moments(_effective_squeezings(state))
     tail = float(moments.distribution[photon_cutoff + 1:].sum()) + moments.tail_bound
     return TorHafnianSum(pattern, tuple(partials), running, sqdet * tail)
 
@@ -198,18 +198,21 @@ class ThresholdDistribution:
         return 0.5 * sum(abs(self.table.get(k, 0.0) - other_table.get(k, 0.0)) for k in keys)
 
 
+def _click_patterns(modes):
+    """Clicked-mode tuples of all 2^modes patterns, in bitmask order."""
+    return [tuple(i + 1 for i in range(modes) if mask >> i & 1) for mask in range(1 << modes)]
+
+
 def distribution(state):
-    """Enumerate threshold probabilities for every click pattern (l <= 12)."""
+    """Threshold probabilities of every click pattern (l <= 12), from one engine pass."""
     _require_zero_mean(state)
     if state.modes > ENUMERATION_MODES:
         raise ValueError(f"full enumeration limited to {ENUMERATION_MODES} modes")
     sigma, kernel, sqdet = state_kernel(state)
+    tor = _subset_sums(kernel, _inverse_sqrt_det).tolist()
     table = {}
-    for mask in range(1 << state.modes):
-        clicked = tuple(i + 1 for i in range(state.modes) if mask >> i & 1)
-        mult = [1 if i + 1 in clicked else 0 for i in range(state.modes)]
-        tor = torontonian(reduce_matrix(kernel.matrix, mult))
-        table[clicked] = _clamp_probability(tor.value / sqdet, f"distribution{clicked}")
+    for clicked, value in zip(_click_patterns(state.modes), tor):
+        table[clicked] = _clamp_probability(value / sqdet, f"distribution{clicked}")
     defect = math.fsum(table.values()) - 1.0
     return ThresholdDistribution(state.modes, table, defect)
 
@@ -281,12 +284,12 @@ def _effective_squeezings(state):
     return 0.5 * np.log(eigs)
 
 
-def _state_photon_moments(state, tail_tol=1e-12):
-    r_eff = _effective_squeezings(state)
+def _auto_photon_moments(r_vec):
+    """``photon_moments`` at the first cutoff 16, 32, ..., 4096 that leaves a tail below 1e-12."""
     cutoff = 16
     while True:
         try:
-            return photon_moments(r_eff, cutoff, tail_tol=tail_tol)
+            return photon_moments(r_vec, cutoff)
         except ValueError:
             cutoff *= 2
             if cutoff > 4096:
@@ -329,18 +332,16 @@ def collision_probability(state, photon_cutoff="auto"):
     if photon_cutoff == "auto":
         photon_cutoff = 8 if state.modes <= 4 else None
     sigma, kernel, sqdet = state_kernel(state)
+    tor = _subset_sums(kernel, _inverse_sqrt_det).tolist()
+    series = _subset_sums(kernel, _eta_series(state.modes))
     gaps = {}
     threshold = {}
-    for mask in range(1 << state.modes):
-        clicked = tuple(i + 1 for i in range(state.modes) if mask >> i & 1)
-        mult = [1 if i + 1 in clicked else 0 for i in range(state.modes)]
-        reduced = reduce_matrix(kernel.matrix, mult)
-        tor = torontonian(reduced).value
-        haf = hafnian_xo(reduced) if reduced.shape[0] else 1.0
-        gaps[clicked] = (tor - haf) / sqdet
-        threshold[clicked] = tor / sqdet
+    for mask, clicked in enumerate(_click_patterns(state.modes)):
+        haf = float(series[mask, len(clicked)])  # Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S))
+        gaps[clicked] = (tor[mask] - haf) / sqdet
+        threshold[clicked] = tor[mask] / sqdet
     epsilon = min(max(math.fsum(gaps.values()), 0.0), 1.0)
-    moments = _state_photon_moments(state)
+    moments = _auto_photon_moments(_effective_squeezings(state))
     bound = 8.0 * moments.second_moment / state.modes
     l1 = cutoff_used = residual = None
     if photon_cutoff is not None:
@@ -413,22 +414,10 @@ def haar_collision_experiment(modes, r_vec, trials, rng):
     eps = np.asarray(eps)
     mean = float(eps.mean())
     stderr = float(eps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    bound = 8.0 * photon_moments(r_vec, _auto_cutoff(r_vec)).second_moment / modes
+    bound = 8.0 * _auto_photon_moments(r_vec).second_moment / modes
     if mean > bound + 1e-12:
         raise NumericalError(f"sample mean collision probability {mean:.6g} exceeds the bound {bound:.6g}")
     return HaarCollisionResult(modes, trials, mean, stderr, bound, tuple(eps.tolist()))
-
-
-def _auto_cutoff(r_vec):
-    cutoff = 16
-    while True:
-        try:
-            photon_moments(r_vec, cutoff)
-            return cutoff
-        except ValueError:
-            cutoff *= 2
-            if cutoff > 4096:
-                raise
 
 
 def haar_bound_confidence(result, confidence=0.95):

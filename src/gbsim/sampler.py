@@ -283,26 +283,21 @@ class SampleRecord:
         return len(self.pattern.clicked)
 
 
-def _measurement_order(modes, order):
+def _measurement_order(labels, order):
+    """``order`` checked to be a permutation of ``labels``; highest label first when None."""
     if order is None:
-        return list(range(modes, 0, -1))
+        return sorted(labels, reverse=True)
     order = [int(i) for i in order]
-    if sorted(order) != list(range(1, modes + 1)):
-        raise ValueError("measurement order must be a permutation of 1..l")
+    if sorted(order) != sorted(labels):
+        raise ValueError("measurement order must be a permutation of the measured modes")
     return order
 
 
 def sample_mixture(mixture, rng, order=None, prune_threshold=None):
     """Run the chain rule over all remaining modes of a mixture."""
-    if order is None:
-        order = sorted(mixture.labels, reverse=True)
-    else:
-        order = [int(i) for i in order]
-        if sorted(order) != sorted(mixture.labels):
-            raise ValueError("measurement order must be a permutation of the remaining modes")
     probs = []
     counts = []
-    for label in order:
+    for label in _measurement_order(mixture.labels, order):
         prepared = _prepare(mixture, label)
         p = prepared[2]
         outcome = 1 if rng.random() >= p else 0
@@ -357,10 +352,10 @@ def herald(state, measured, outcomes, order=None):
 
     ``measured`` lists 1-based mode labels, ``outcomes`` the forced bits
     (1 = click). Measurement runs from the highest label down unless
-    ``order`` overrides it. Returns (mixture on the unmeasured modes,
-    heralding probability); the probability equals the threshold
-    probability of the corresponding pattern of the marginal state on the
-    measured modes.
+    ``order``, a permutation of ``measured``, overrides it. Returns
+    (mixture on the unmeasured modes, heralding probability); the
+    probability equals the threshold probability of the corresponding
+    pattern of the marginal state on the measured modes.
     """
     measured = [int(m) for m in measured]
     if len(set(measured)) != len(measured):
@@ -369,9 +364,8 @@ def herald(state, measured, outcomes, order=None):
     if len(forced) != len(measured):
         raise ValueError("need one outcome per measured mode")
     mixture = state if isinstance(state, GaussianMixture) else GaussianMixture.from_state(state)
-    sequence = sorted(measured, reverse=True) if order is None else list(order)
     probability = 1.0
-    for label in sequence:
+    for label in _measurement_order(measured, order):
         factor, mixture = _advance(mixture, label, forced[label])
         probability *= factor
         if probability < MIN_EVENT_PROB:
@@ -398,17 +392,12 @@ def mixture_apply_interferometer(mixture, unitary):
 
 
 def chain_rule_probability(state, pattern, order=None):
-    """Probability of a full pattern as the product of forced-step factors.
+    """Probability of a full pattern: ``herald`` on every mode, a product of forced-step factors.
 
     Equals the Torontonian-based threshold probability; used as the
     chain-rule consistency check.
     """
     pattern = pattern if isinstance(pattern, ClickPattern) else ClickPattern(state.modes, tuple(pattern))
-    outcomes = [1 if (m in pattern.clicked) else 0 for m in range(1, state.modes + 1)]
-    sequence = _measurement_order(state.modes, order)
-    mixture = GaussianMixture.from_state(state)
-    probability = 1.0
-    for label in sequence:
-        factor, mixture = _advance(mixture, label, outcomes[label - 1])
-        probability *= factor
-    return probability
+    modes = range(1, state.modes + 1)
+    outcomes = [1 if (m in pattern.clicked) else 0 for m in modes]
+    return herald(state, modes, outcomes, order=order)[1]

@@ -18,6 +18,10 @@ groups each chunk by popcount and evaluates every group's stack of
 reduced blocks in one batched call. Each chunk is summed exactly
 (Shewchuk/fsum) and the chunk partials are reduced in index order, so
 every result is bitwise reproducible for any worker-thread count.
+
+Every reduced kernel O_(S) has its blocks among those of O, so the same
+2^N terms give the sums for all O_(S) at once (``_subset_sums``, the subset
+transform of Bjorklund-Husfeldt-Kaski-Koivisto, arXiv:cs/0611101).
 """
 
 from __future__ import annotations
@@ -82,11 +86,7 @@ def _chunk_terms(M, modes, start, stop, evaluate):
     1 - M_(Z) of the stack is not positive definite.
     """
     masks = np.arange(start, stop, dtype=np.int64)
-    sizes = np.zeros(len(masks), dtype=np.int64)
-    m = masks.copy()
-    while m.any():
-        sizes += m & 1
-        m >>= 1
+    sizes = np.bitwise_count(masks)
     terms = None
     for k in np.unique(sizes):
         sel = sizes == k
@@ -152,6 +152,29 @@ def _powerset_sum(M, modes, evaluate, threads=1):
     return _fsum(np.array([p[0] for p in partials])), max(p[1] for p in partials)
 
 
+def _subset_sums(O, evaluate):
+    """The engine's signed sum for every O_(S), one row per S in bitmask order, from the 2^N terms of O.
+
+    Row S is (-1)^(N - |S|) times the exact sum of the ``_chunk_terms``
+    terms over the submasks of S: the same blocks, summed exactly, so bit
+    for bit the engine's sum for O_(S) while O_(S) fits one chunk.
+    """
+    O = _as_matrix(O)
+    modes = O.shape[0] // 2
+    sets = np.arange(1 << modes, dtype=np.int64)
+    terms = _chunk_terms(O, modes, 0, len(sets), evaluate)
+    sizes = np.bitwise_count(sets)
+    sums = np.empty_like(terms)
+    for k in range(modes + 1):
+        group = sets[sizes == k]
+        bits = 1 << _subset_indices(group, modes)[:, :k]
+        choices = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        sign = -1.0 if (modes - k) % 2 else 1.0
+        for s, submasks in zip(group, bits @ choices.T):
+            sums[s] = sign * _fsum(terms[submasks])
+    return -sums if _SIGN_FLIP else sums
+
+
 def _inverse_sqrt_det(blocks):
     """det(1 - C)^(-1/2) per block, from a batched Cholesky factorisation."""
     chol = np.linalg.cholesky(np.eye(blocks.shape[-1]) - blocks)
@@ -180,6 +203,11 @@ def _power_traces(blocks, order, hermitian=False):
                 power = power @ blocks
             traces[:, k] = np.trace(power, axis1=1, axis2=2)
     return traces
+
+
+def _eta_series(order):
+    """Engine evaluator: coefficients 0..order of the eta series of det(1 - eta C)^(-1/2), C Hermitian."""
+    return lambda blocks: _exp_series(_power_traces(blocks, order, hermitian=True))
 
 
 def _exp_series(traces):
@@ -258,7 +286,5 @@ def torontonian_series(O, order):
     if order < 0:
         raise ValueError("order must be nonnegative")
     O = _as_matrix(O)
-    coeffs, _ = _powerset_sum(
-        O, O.shape[0] // 2, lambda blocks: _exp_series(_power_traces(blocks, order, hermitian=True))
-    )
+    coeffs, _ = _powerset_sum(O, O.shape[0] // 2, _eta_series(order))
     return -coeffs if _SIGN_FLIP else coeffs

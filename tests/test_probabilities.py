@@ -25,6 +25,14 @@ from gbsim.probabilities import haar_bound_confidence, state_kernel
 from conftest import tmsv
 
 
+def random_and_haar_states(modes, rng):
+    """One random pure state and one Haar-interferometer state at squeezing 1.0."""
+    return [
+        random_state(modes, rng),
+        apply_interferometer(squeezed_state([1.0] * modes), haar_unitary(modes, rng)),
+    ]
+
+
 class TestThresholdProb:
     def test_vacuum_empty_pattern(self):
         assert threshold_prob(vacuum_state(2), ()) == pytest.approx(1.0, abs=1e-14)
@@ -172,6 +180,12 @@ class TestDistribution:
             else:
                 assert p < 1e-12
 
+    @pytest.mark.parametrize("modes", [1, 2, 4, 6])
+    def test_table_equals_threshold_prob_exactly(self, rng, modes):
+        for state in random_and_haar_states(modes, rng):
+            for clicked, p in distribution(state).table.items():
+                assert p == threshold_prob(state, clicked)
+
     def test_scale_guard(self):
         with pytest.raises(ValueError):
             distribution(vacuum_state(13))
@@ -226,6 +240,15 @@ class TestCollision:
             state = random_state(modes, rng, max_squeezing=0.5)
             report = collision_probability(state, photon_cutoff=8)
             assert abs(report.l1_patternwise - report.epsilon) <= report.residual_bound
+
+    @pytest.mark.parametrize("modes", [1, 2, 4, 6])
+    def test_gaps_match_threshold_minus_pnr(self, rng, modes):
+        # pnr_prob evaluates each Hafnian on its own through hafnian_xo
+        for state in random_and_haar_states(modes, rng):
+            for clicked, gap in collision_probability(state, photon_cutoff=None).gaps.items():
+                counts = tuple(int(i + 1 in clicked) for i in range(modes))
+                expect = threshold_prob(state, clicked) - pnr_prob(state, counts)
+                assert gap == pytest.approx(expect, abs=1e-12)
 
     def test_scale_guard(self):
         with pytest.raises(ValueError):

@@ -243,6 +243,12 @@ class TestHerald:
         with pytest.raises(NumericalError):
             herald(vacuum_state(2), [1], [1])  # vacuum cannot click
 
+    @pytest.mark.parametrize("order", [[2], [1, 2, 3], [2, 2]])
+    def test_order_must_permute_measured_modes(self, order):
+        # [2] would leave mode 1 unmeasured; [1, 2, 3] names a mode without an outcome
+        with pytest.raises(ValueError, match="permutation"):
+            herald(squeezed_state([0.5, 0.7, 0.9]), [1, 2], [1, 0], order=order)
+
 
 class TestPrune:
     def test_prune_is_approximate_but_normalized(self, rng):
