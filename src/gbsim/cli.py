@@ -172,7 +172,7 @@ def cmd_sample(args):
         raise FormatError("sample requires --seed")
     state = serialize.load_state(args.state)
     order = list(_parse_ints(args.order)) if args.order else None
-    records = sample_batch(state, args.n, args.seed, order=order, threads=args.threads)
+    records = sample_batch(state, args.n, args.seed, order=order)
     serialize.save_samples(records, args.out, trace=args.trace)
     histogram = {}
     for rec in records:

@@ -15,15 +15,22 @@ space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
 from .errors import NumericalError
-from .gaussian import QuadratureState
-from .sampler import GaussianMixture, _mode_position, herald, mixture_apply_interferometer, sample_mixture
+from .gaussian import QuadratureState, apply_interferometer, haar_unitary, squeezed_state
+from .sampler import (
+    GaussianMixture,
+    _mode_position,
+    _substream_rng,
+    herald,
+    mixture_apply_interferometer,
+    sample_mixture,
+)
 
 NEGATIVITY_PROBES = 10_000
 NEGATIVITY_TOL = -1e-9
@@ -89,7 +96,6 @@ class OutcomeDensity:
     covs: np.ndarray  # (B, 2, 2): V_B + W per branch
     means: np.ndarray  # (B, 2)
     povm: GaussianPOVM
-    probe_points: int = field(default=NEGATIVITY_PROBES, compare=False)
 
     def __post_init__(self):
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -105,14 +111,13 @@ class OutcomeDensity:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "means", means)
-        if self.probe_points:
-            self._probe_negativity(self.probe_points)
+        self._probe_negativity()
 
-    def _probe_negativity(self, count):
+    def _probe_negativity(self):
         sigma = np.sqrt(np.maximum(self.covs[:, 0, 0].max(), self.covs[:, 1, 1].max()))
         lo = self.means.min(axis=0) - 6 * sigma
         hi = self.means.max(axis=0) + 6 * sigma
-        points = qmc.scale(qmc.Halton(d=2, seed=7).random(count), lo, hi)
+        points = qmc.scale(qmc.Halton(d=2, seed=7).random(NEGATIVITY_PROBES), lo, hi)
         values = self.pdf(points)
         low = float(values.min())
         if low < NEGATIVITY_TOL:
@@ -351,15 +356,8 @@ def paired_source_state(signal_modes, pairs, r):
     return QuadratureState(V, validate=False)
 
 
-def _signal_mixture(config, rng):
+def _signal_mixture(config, U):
     """Heralded, interferometer-evolved mixture on the signal modes (B/C/D)."""
-    from .gaussian import haar_unitary
-    from .sampler import substream_id
-
-    if config.unitary is not None:
-        U = np.asarray(config.unitary, dtype=complex)
-    else:
-        U = haar_unitary(config.modes, rng).matrix
     if config.herald_count:
         source = paired_source_state(config.modes, config.herald_count, config.herald_squeezing)
         idlers = list(range(config.modes + 1, config.modes + config.herald_count + 1))
@@ -367,42 +365,32 @@ def _signal_mixture(config, rng):
     else:
         vac = QuadratureState(np.eye(2 * config.modes), validate=False)
         mixture, prob = GaussianMixture.from_state(vac), 1.0
-    return mixture_apply_interferometer(mixture, U), prob, U
+    return mixture_apply_interferometer(mixture, U), prob
 
 
 def simulate_pipeline(config):
     """Run one of the four pipelines; returns (records, metadata)."""
-    from .gaussian import haar_unitary, squeezed_state, apply_interferometer
-    from .sampler import substream_id
-
     meta = {"pipeline": config.pipeline, "modes": config.modes, "shots": config.shots, "seed": config.seed}
-    records = []
-    setup_rng = np.random.Generator(np.random.PCG64(substream_id(config.seed, 0)))
-    signal_labels = set(range(1, config.modes + 1))
+    if config.unitary is not None:
+        U = np.asarray(config.unitary, dtype=complex)
+    else:
+        U = haar_unitary(config.modes, _substream_rng(config.seed, 0)).matrix
     if config.pipeline == "A":
         r_vec = config.squeezing if config.squeezing else (0.0,) * config.modes
-        if config.unitary is not None:
-            U = np.asarray(config.unitary, dtype=complex)
-        else:
-            U = haar_unitary(config.modes, setup_rng).matrix
-        state = apply_interferometer(squeezed_state(r_vec), U)
+        mixture = GaussianMixture.from_state(apply_interferometer(squeezed_state(r_vec), U))
+    else:
+        mixture, herald_prob = _signal_mixture(config, U)
+        meta["herald_probability"] = herald_prob
+        meta["branches"] = mixture.branch_count
+    records = []
+    if config.pipeline in ("A", "B"):
+        signal_labels = set(range(1, config.modes + 1))
         for i in range(config.shots):
-            rng = np.random.Generator(np.random.PCG64(substream_id(config.seed, i + 1)))
-            final, probs, counts = sample_mixture(GaussianMixture.from_state(state), rng)
-            records.append({"shot": i, "pattern": sorted(final.clicked_labels)})
-        return records, meta
-    mixture, herald_prob, U = _signal_mixture(config, setup_rng)
-    meta["herald_probability"] = herald_prob
-    meta["branches"] = mixture.branch_count
-    if config.pipeline == "B":
-        for i in range(config.shots):
-            rng = np.random.Generator(np.random.PCG64(substream_id(config.seed, i + 1)))
-            final, probs, counts = sample_mixture(mixture, rng)
-            clicks = sorted(set(final.clicked_labels) & signal_labels)
-            records.append({"shot": i, "pattern": clicks})
+            final, _, _ = sample_mixture(mixture, _substream_rng(config.seed, i + 1))
+            records.append({"shot": i, "pattern": sorted(set(final.clicked_labels) & signal_labels)})
         return records, meta
     povm = homodyne(config.homodyne_s) if config.pipeline == "C" else heterodyne()
     for i in range(config.shots):
-        rng = np.random.Generator(np.random.PCG64(substream_id(config.seed, i + 1)))
+        rng = _substream_rng(config.seed, i + 1)
         records.append({"shot": i, "cv": measure_all_cv(mixture, povm, rng, tol=config.cdf_tolerance)})
     return records, meta

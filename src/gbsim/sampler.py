@@ -6,9 +6,11 @@ every branch into the unconditioned marginal minus the vacuum-conditioned
 branch, doubling the branch count. Weights always sum to one but need not
 stay positive.
 
-Branches are stored as stacked arrays (weights, covariances, means); a
-step updates each branch in turn, so the per-sample cost follows the
-branch count directly (one Schur complement per branch per mode).
+Branches are stored as stacked arrays (weights, covariances, means); the
+one step, ``_advance``, updates each branch in turn, so the per-sample
+cost follows the branch count directly (one Schur complement per branch
+per mode). ``step`` and ``sample_mixture`` draw its outcome by one coin
+rule; ``herald`` and ``condition_no_click`` force it.
 
 The per-mode no-click weight of a branch with block ``V_B`` and mean
 ``r_B`` is the vacuum overlap
@@ -19,8 +21,7 @@ The per-mode no-click weight of a branch with block ``V_B`` and mean
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +46,11 @@ def substream_id(seed, index):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _substream_rng(seed, index):
+    """The PCG64 generator of substream ``substream_id(seed, index)``."""
+    return np.random.Generator(np.random.PCG64(substream_id(seed, index)))
 
 
 @dataclass(frozen=True)
@@ -98,14 +104,6 @@ class GaussianMixture:
     @property
     def branch_count(self):
         return len(self.weights)
-
-    @property
-    def branches(self):
-        """(weight, QuadratureState) pairs; states skip re-validation."""
-        return tuple(
-            (float(a), QuadratureState(V, r, validate=False))
-            for a, V, r in zip(self.weights, self.covs, self.means)
-        )
 
     @property
     def clicked_labels(self):
@@ -168,83 +166,73 @@ def _step_blocks(mixture, pos):
     return q, marg_cov, marg_mean, cond_cov, cond_mean
 
 
-def condition_no_click(state, mode):
-    """Vacuum-project one mode of a Gaussian state.
+def _coin(rng):
+    """The draw rule: one uniform draw u per step, a click when u >= p (the no-click probability)."""
+    return lambda p: 1 if rng.random() >= p else 0
 
-    Returns (q, conditioned state on the remaining modes) where q is the
-    no-click probability of that mode; the state is None when no modes
-    remain.
+
+def _advance(mixture, label, outcome):
+    """Threshold-measure mode ``label``: (p, new mixture), p the mixture no-click probability.
+
+    ``outcome`` is a forced bit or a rule mapping p to a bit (``_coin``);
+    the realized bit is ``new.history[-1][1]``.
     """
-    if isinstance(state, QuadratureState):
-        mixture = GaussianMixture.from_state(state)
-    else:
-        mixture = state
-    pos = _mode_position(mixture, mode)
-    q, _, _, cond_cov, cond_mean = _step_blocks(mixture, pos)
-    if mixture.modes == 1:
-        return float(q[0]), None
-    conditioned = QuadratureState(cond_cov[0], cond_mean[0], validate=False)
-    return float(q[0]), conditioned
-
-
-def _prepare(mixture, label):
-    """Partition around one mode and compute the mixture no-click probability."""
     pos = _mode_position(mixture, label)
     q, marg_cov, marg_mean, cond_cov, cond_mean = _step_blocks(mixture, pos)
     p = float(mixture.weights @ q)
     if p < -PROB_CLAMP or p > 1 + PROB_CLAMP:
         raise NumericalError(f"no-click probability {p!r} outside [0, 1] beyond tolerance")
-    return pos, q, min(max(p, 0.0), 1.0), marg_cov, marg_mean, cond_cov, cond_mean
-
-
-def _apply(mixture, label, outcome, prepared):
-    """Finish a step with a known outcome: (probability of the outcome, new mixture)."""
-    pos, q, p, VA, rA, cond_cov, cond_mean = prepared  # VA/rA: unconditioned marginals
-    labels = mixture.labels[:pos] + mixture.labels[pos + 1:]
-    history = mixture.history + ((label, outcome),)
+    p = min(max(p, 0.0), 1.0)
+    if callable(outcome):
+        outcome = outcome(p)
     if outcome == 0:
         if p < MIN_EVENT_PROB:
             raise NumericalError(f"forced no-click on mode {label} has vanishing probability")
         weights = mixture.weights * q / p
-        new = GaussianMixture(
-            labels=labels,
-            weights=weights / weights.sum(),
-            covs=cond_cov,
-            means=cond_mean,
-            history=history,
-        )
-        return p, new
-    if 1.0 - p < MIN_EVENT_PROB:
-        raise NumericalError(f"forced click on mode {label} has vanishing probability")
-    # Click: each branch splits into (marginal) - q (vacuum-conditioned).
-    weights = np.concatenate([mixture.weights, -mixture.weights * q]) / (1.0 - p)
-    new = GaussianMixture(
-        labels=labels,
+        covs, means = cond_cov, cond_mean
+    else:
+        if 1.0 - p < MIN_EVENT_PROB:
+            raise NumericalError(f"forced click on mode {label} has vanishing probability")
+        weights = np.concatenate([mixture.weights, -mixture.weights * q]) / (1.0 - p)
+        covs, means = np.concatenate([marg_cov, cond_cov]), np.concatenate([marg_mean, cond_mean])
+    return p, GaussianMixture(
+        labels=mixture.labels[:pos] + mixture.labels[pos + 1:],
         weights=weights / weights.sum(),
-        covs=np.concatenate([VA, cond_cov]),
-        means=np.concatenate([rA, cond_mean]),
-        history=history,
+        covs=covs,
+        means=means,
+        history=mixture.history + ((label, outcome),),
     )
-    return 1.0 - p, new
 
 
-def _advance(mixture, label, outcome):
-    """Forced-outcome step: returns (probability of that outcome, new mixture)."""
-    return _apply(mixture, label, outcome, _prepare(mixture, label))
+def condition_no_click(state, mode):
+    """Vacuum-project one mode of a Gaussian state or of a whole mixture.
+
+    Returns (q, conditioned state on the remaining modes) where q is the
+    no-click probability of that mode. The conditioned state has the type
+    of the input (a ``QuadratureState`` or a ``GaussianMixture``) and is
+    None when no modes remain.
+    """
+    single = isinstance(state, QuadratureState)
+    mixture = GaussianMixture.from_state(state) if single else state
+    q, conditioned = _advance(mixture, mode, 0)
+    if conditioned.modes == 0:
+        return q, None
+    if single:
+        return q, QuadratureState(conditioned.covs[0], conditioned.means[0], validate=False)
+    return q, conditioned
 
 
 def step(mixture, mode, rng):
     """Measure one mode of a mixture with a threshold detector.
 
-    The coin uses one uniform draw u; the detector clicks when u >= p with
-    p the mixture no-click probability. Returns (outcome bit, new mixture).
+    The outcome is drawn by the coin rule of ``sample_mixture``: the
+    detector clicks when one uniform draw u >= p, the mixture no-click
+    probability. Returns (outcome bit, new mixture).
     """
     if isinstance(mixture, QuadratureState):
         mixture = GaussianMixture.from_state(mixture)
-    prepared = _prepare(mixture, mode)
-    outcome = 1 if rng.random() >= prepared[2] else 0
-    _, new = _apply(mixture, mode, outcome, prepared)
-    return outcome, new
+    _, new = _advance(mixture, mode, _coin(rng))
+    return new.history[-1][1], new
 
 
 def prune(mixture, threshold):
@@ -293,30 +281,26 @@ def _measurement_order(labels, order):
     return order
 
 
-def sample_mixture(mixture, rng, order=None, prune_threshold=None):
+def sample_mixture(mixture, rng, order=None):
     """Run the chain rule over all remaining modes of a mixture."""
+    draw = _coin(rng)
     probs = []
     counts = []
     for label in _measurement_order(mixture.labels, order):
-        prepared = _prepare(mixture, label)
-        p = prepared[2]
-        outcome = 1 if rng.random() >= p else 0
-        _, mixture = _apply(mixture, label, outcome, prepared)
-        if prune_threshold:
-            mixture = prune(mixture, prune_threshold)
+        p, mixture = _advance(mixture, label, draw)
         probs.append(p)
         counts.append(mixture.branch_count)
     return mixture, tuple(probs), tuple(counts)
 
 
-def sample(state, rng, order=None, prune_threshold=None):
+def sample(state, rng, order=None):
     """Draw one exact threshold sample from a Gaussian state.
 
     Modes are measured from the highest index down by default. Cost grows
     as the branch count doubles with each click.
     """
     mixture = GaussianMixture.from_state(state)
-    final, probs, counts = sample_mixture(mixture, rng, order=order, prune_threshold=prune_threshold)
+    final, probs, counts = sample_mixture(mixture, rng, order=order)
     clicked = tuple(sorted(final.clicked_labels))
     return SampleRecord(
         pattern=ClickPattern(state.modes, clicked),
@@ -325,26 +309,19 @@ def sample(state, rng, order=None, prune_threshold=None):
     )
 
 
-def sample_batch(state, n, seed, order=None, threads=1, prune_threshold=None):
+def sample_batch(state, n, seed, order=None):
     """Draw ``n`` independent samples reproducibly.
 
     Sample ``i`` uses the RNG substream ``substream_id(seed, i)``, so the
-    batch content does not depend on execution order or thread count and
-    any sub-range can be regenerated in isolation.
+    batch content does not depend on execution order and any sub-range can
+    be regenerated in isolation.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-
-    def one(i):
-        sub = substream_id(seed, i)
-        rng = np.random.Generator(np.random.PCG64(sub))
-        rec = sample(state, rng, order=order, prune_threshold=prune_threshold)
-        return SampleRecord(rec.pattern, rec.noclick_probs, rec.branch_counts, int(seed), sub)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n)))
-    return [one(i) for i in range(n)]
+    return [
+        replace(sample(state, _substream_rng(seed, i), order=order), seed=int(seed), substream=substream_id(seed, i))
+        for i in range(n)
+    ]
 
 
 def herald(state, measured, outcomes, order=None):
@@ -366,8 +343,8 @@ def herald(state, measured, outcomes, order=None):
     mixture = state if isinstance(state, GaussianMixture) else GaussianMixture.from_state(state)
     probability = 1.0
     for label in _measurement_order(measured, order):
-        factor, mixture = _advance(mixture, label, forced[label])
-        probability *= factor
+        p, mixture = _advance(mixture, label, forced[label])
+        probability *= (1.0 - p) if forced[label] else p
         if probability < MIN_EVENT_PROB:
             raise NumericalError("forced outcome has probability below 1e-300")
     return mixture, probability

@@ -56,6 +56,16 @@ class TestConditionNoClick:
         assert q == pytest.approx(oracle, rel=1e-12)
         assert q == pytest.approx(math.exp(-(x * x + p * p) / 4), rel=1e-12)
 
+    def test_mixture_is_conditioned_as_a_whole(self):
+        # q is the no-click probability of the whole signed mixture, not of branch 0
+        state = random_state(5, np.random.default_rng(1))
+        mixture, p_clicks = herald(state, [5, 4], [1, 1])
+        q, rest = condition_no_click(mixture, 3)
+        assert q == pytest.approx(herald(state, [5, 4, 3], [1, 1, 0])[1] / p_clicks, rel=0, abs=1e-12)
+        assert isinstance(rest, GaussianMixture)
+        assert rest.branch_count == 4
+        assert rest.labels == (1, 2)
+
 
 class TestStep:
     def test_vacuum_never_clicks(self, rng):
@@ -89,6 +99,19 @@ class TestStep:
         mixture = GaussianMixture.from_state(vacuum_state(2))
         with pytest.raises(ValueError):
             step(mixture, 5, rng)
+
+    def test_hand_loop_matches_sample_mixture(self, rng):
+        # one draw rule: stepping by hand replays sample_mixture bit for bit
+        state = random_state(6, rng, max_squeezing=0.9)
+        order = [2, 6, 1, 5, 3, 4]
+        for seed in range(8):
+            final, _, _ = sample_mixture(GaussianMixture.from_state(state), np.random.default_rng(seed), order=order)
+            mixture = GaussianMixture.from_state(state)
+            draws = np.random.default_rng(seed)
+            for label in order:
+                _, mixture = step(mixture, label, draws)
+            assert mixture.history == final.history
+            assert np.array_equal(mixture.weights, final.weights)
 
 
 class TestMixtureInvariants:
@@ -196,12 +219,6 @@ class TestSampleBatch:
         state = random_state(3, rng)
         a = sample_batch(state, 50, seed=4)
         b = sample_batch(state, 50, seed=4)
-        assert [r.pattern.clicked for r in a] == [r.pattern.clicked for r in b]
-
-    def test_thread_counts_identical(self, rng):
-        state = random_state(3, rng)
-        a = sample_batch(state, 64, seed=4, threads=1)
-        b = sample_batch(state, 64, seed=4, threads=8)
         assert [r.pattern.clicked for r in a] == [r.pattern.clicked for r in b]
 
     def test_halves_merge_to_full_batch(self, rng):
