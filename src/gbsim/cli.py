@@ -260,7 +260,7 @@ def build_parser():
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads; can speed up tor, and prob above 13 clicks; never changes results")
     parser.add_argument("--tolerance", type=float, default=1e-10,
-                        help="numeric tolerance (used by cv inverse-CDF sampling)")
+                        help="CDF tolerance of cv inverse-CDF sampling; values above 1e-10 are capped at 1e-10")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prep", help="prepare a squeezed-light state file")

@@ -9,7 +9,9 @@ density is built.
 
 Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
 both closed-form error-function mixtures, by bracketed bisection in CDF
-space.
+space. Backaction is the sampler's one conditioning step
+(``sampler._condition``), of which a threshold no-click is the special case
+W = 1 at outcome 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from scipy.stats import qmc
 from .errors import NumericalError
 from .gaussian import QuadratureState, apply_interferometer, haar_unitary, squeezed_state
 from .sampler import (
+    MIN_EVENT_PROB,
     GaussianMixture,
+    _condition,
     _mode_position,
     _substream_rng,
     herald,
@@ -36,7 +40,6 @@ NEGATIVITY_PROBES = 10_000
 NEGATIVITY_TOL = -1e-9
 DEFAULT_HOMODYNE_S = 1e3
 CDF_TOL = 1e-12
-MIN_EVENT_PROB = 1e-300
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,6 @@ class OutcomeDensity:
         comps = np.exp(-0.5 * quad) / (2 * math.pi * np.sqrt(det))[None, :]
         return comps @ self.weights
 
-    def marginal_cdf_x(self, x):
-        """CDF of the first outcome coordinate (a signed mixture of normals)."""
-        x = np.asarray(x, dtype=float)
-        sig = np.sqrt(self.covs[:, 0, 0])
-        z = (x[..., None] - self.means[:, 0]) / sig
-        return ndtr(z) @ self.weights
-
     def _conditional_components(self, x):
         """Weights/means/variances of p given x (per sampled x, vectorized)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -243,9 +239,11 @@ def sample_outcome(density, rng, tol=CDF_TOL):
 def backaction(mixture, mode, povm, outcome):
     """Propagate a Gaussian measurement outcome into the remaining modes.
 
-    Per branch: covariance gets the Schur complement against V_B + W, the
-    mean moves by the regression gain times (outcome - r_B), and weights
-    are reweighted by the branch outcome likelihoods.
+    The sampler's conditioning step, ``sampler._condition``, with the POVM's
+    W and this outcome: per branch the covariance gets the Schur complement
+    against V_B + W, the mean moves by the regression gain times
+    (outcome - r_B), and the weights are reweighted by the branch outcome
+    densities g / 2pi.
     """
     if isinstance(mixture, QuadratureState):
         mixture = GaussianMixture.from_state(mixture)
@@ -253,37 +251,17 @@ def backaction(mixture, mode, povm, outcome):
     if not np.all(np.isfinite(outcome)):
         raise ValueError("outcome must be finite")
     pos = _mode_position(mixture, mode)
-    m = mixture.modes
-    bidx = np.array([pos, pos + m])
-    aidx = np.array([i for i in range(2 * m) if i != pos and i != pos + m], dtype=int)
-    VB = mixture.covs[:, bidx[:, None], bidx[None, :]] + povm.W[None, :, :]
-    VA = mixture.covs[:, aidx[:, None], aidx[None, :]]
-    VAB = mixture.covs[:, aidx[:, None], bidx[None, :]]
-    rB = mixture.means[:, bidx]
-    rA = mixture.means[:, aidx]
-    a = VB[:, 0, 0]
-    b = VB[:, 0, 1]
-    d = VB[:, 1, 1]
-    det = a * d - b * b
-    if np.any(det <= 0):
-        raise NumericalError("V_B + W is not positive definite; the mixture is corrupted")
-    inv = np.empty_like(VB)
-    inv[:, 0, 0] = d / det
-    inv[:, 1, 1] = a / det
-    inv[:, 0, 1] = inv[:, 1, 0] = -b / det
-    diff = outcome[None, :] - rB
-    q = np.exp(-0.5 * np.einsum("bi,bij,bj->b", diff, inv, diff)) / (2 * math.pi * np.sqrt(det))
-    p = float(mixture.weights @ q)
+    g, _, _, covs, means = _condition(mixture.covs, mixture.means, pos, povm.W, outcome)
+    density = g / (2 * math.pi)
+    p = float(mixture.weights @ density)
     if p < MIN_EVENT_PROB:
         raise NumericalError("measurement outcome has vanishing density")
-    gain = VAB @ inv
-    new_weights = mixture.weights * q / p
-    new_weights = new_weights / new_weights.sum()
+    new_weights = mixture.weights * density / p
     return GaussianMixture(
         labels=mixture.labels[:pos] + mixture.labels[pos + 1:],
-        weights=new_weights,
-        covs=VA - np.einsum("bij,bkj->bik", gain, VAB),
-        means=rA + np.einsum("bij,bj->bi", gain, diff),
+        weights=new_weights / new_weights.sum(),
+        covs=covs,
+        means=means,
         history=mixture.history,
     )
 

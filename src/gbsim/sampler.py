@@ -6,14 +6,16 @@ every branch into the unconditioned marginal minus the vacuum-conditioned
 branch, doubling the branch count. Weights always sum to one but need not
 stay positive.
 
-Branches are stored as stacked arrays (weights, covariances, means); the
-one step, ``_advance``, updates each branch in turn, so the per-sample
-cost follows the branch count directly (one Schur complement per branch
-per mode). ``step`` and ``sample_mixture`` draw its outcome by one coin
-rule; ``herald`` and ``condition_no_click`` force it.
+Branches are stored as stacked arrays (weights, covariances, means). The
+one Gaussian-conditioning step, ``_condition``, updates each branch in
+turn, so the per-sample cost follows the branch count directly (one Schur
+complement per branch per mode); ``cv.backaction`` shares it. The one
+threshold step, ``_advance``, calls it; ``step`` and ``sample_mixture``
+draw its outcome by one coin rule, ``herald`` and ``condition_no_click``
+force it.
 
 The per-mode no-click weight of a branch with block ``V_B`` and mean
-``r_B`` is the vacuum overlap
+``r_B`` is the vacuum overlap, twice the heterodyne factor at outcome 0:
 
     q = 2 exp(-r_B^T (V_B + 1)^{-1} r_B / 2) / sqrt(det(V_B + 1)).
 """
@@ -31,6 +33,7 @@ from .gaussian import ClickPattern, QuadratureState, interferometer_symplectic
 WEIGHT_TOL = 1e-9
 PROB_CLAMP = 1e-10
 MIN_EVENT_PROB = 1e-300
+_VACUUM_W = np.eye(2)  # vacuum projection is a heterodyne at outcome 0
 
 _MASK64 = (1 << 64) - 1
 
@@ -126,44 +129,44 @@ def _mode_position(mixture, label):
         raise ValueError(f"mode {label} is not available (remaining: {mixture.labels})") from None
 
 
-def _step_blocks(mixture, pos):
-    """Per-branch vacuum-overlap weights and Schur-complement updates.
+def _condition(covs, means, pos, W, y):
+    """Condition every branch on a Gaussian measurement of the mode at ``pos``.
 
-    One branch update is an O(modes^2) matrix operation; branches are
-    processed in order in a plain loop, which keeps the per-sample cost
-    proportional to the branch count (the 2^clicks law) and the summation
-    order fixed.
+    The one Schur-complement step: vacuum projection is the heterodyne
+    (``W = 1``) at outcome ``y = 0``. For each branch of the stacks ``covs``
+    and ``means`` it returns the Gaussian factor
+
+        g = exp(-d^T (V_B + W)^{-1} d / 2) / sqrt(det(V_B + W)),  d = y - r_B,
+
+    plus the marginal (``V_A``, ``r_A``) and the conditioned covariance and
+    mean of the other modes, as ``(g, marg_cov, marg_mean, cond_cov,
+    cond_mean)``. The blocks are gathered for the whole stack at once; the
+    2x2 inverse, g and the update then run branch by branch in a plain loop,
+    which keeps the per-sample cost proportional to the branch count (the
+    2^clicks law) and the summation order fixed.
     """
-    m = mixture.modes
-    bidx = [pos, pos + m]
-    aidx = [i for i in range(2 * m) if i != pos and i != pos + m]
-    count = mixture.branch_count
-    n_rest = 2 * m - 2
-    q = np.empty(count)
-    marg_cov = np.empty((count, n_rest, n_rest))
-    marg_mean = np.empty((count, n_rest))
-    cond_cov = np.empty((count, n_rest, n_rest))
-    cond_mean = np.empty((count, n_rest))
-    for k in range(count):
-        V = mixture.covs[k]
-        r = mixture.means[k]
-        a = V[bidx[0], bidx[0]] + 1.0
-        b = V[bidx[0], bidx[1]]
-        d = V[bidx[1], bidx[1]] + 1.0
+    m = covs.shape[-1] // 2
+    bidx = np.array([pos, pos + m])
+    aidx = np.array([i for i in range(2 * m) if i != pos and i != pos + m], dtype=int)
+    VB = covs[:, bidx[:, None], bidx] + W
+    VA = covs[:, aidx[:, None], aidx]
+    VAB = covs[:, aidx[:, None], bidx]
+    rA = means[:, aidx]
+    diff = y - means[:, bidx]
+    g = np.empty(len(covs))
+    cond_cov = np.empty_like(VA)
+    cond_mean = np.empty_like(rA)
+    for k in range(len(covs)):
+        a, b, d = VB[k, 0, 0], VB[k, 0, 1], VB[k, 1, 1]
         det = a * d - b * b
         if det <= 0:
-            raise NumericalError("V_B + 1 is singular; the mixture is corrupted")
+            raise NumericalError("V_B + W is not positive definite; the mixture is corrupted")
         inv = np.array([[d, -b], [-b, a]]) / det
-        rB = r[bidx]
-        q[k] = 2.0 * math.exp(-0.5 * float(rB @ inv @ rB)) / math.sqrt(det)
-        VA = V[np.ix_(aidx, aidx)]
-        VAB = V[np.ix_(aidx, bidx)]
-        gain = VAB @ inv
-        marg_cov[k] = VA
-        marg_mean[k] = r[aidx]
-        cond_cov[k] = VA - gain @ VAB.T
-        cond_mean[k] = marg_mean[k] - gain @ rB
-    return q, marg_cov, marg_mean, cond_cov, cond_mean
+        g[k] = math.exp(-0.5 * float(diff[k] @ inv @ diff[k])) / math.sqrt(det)
+        gain = VAB[k] @ inv
+        cond_cov[k] = VA[k] - gain @ VAB[k].T
+        cond_mean[k] = rA[k] + gain @ diff[k]
+    return g, VA, rA, cond_cov, cond_mean
 
 
 def _coin(rng):
@@ -178,7 +181,8 @@ def _advance(mixture, label, outcome):
     the realized bit is ``new.history[-1][1]``.
     """
     pos = _mode_position(mixture, label)
-    q, marg_cov, marg_mean, cond_cov, cond_mean = _step_blocks(mixture, pos)
+    g, marg_cov, marg_mean, cond_cov, cond_mean = _condition(mixture.covs, mixture.means, pos, _VACUUM_W, 0.0)
+    q = 2.0 * g
     p = float(mixture.weights @ q)
     if p < -PROB_CLAMP or p > 1 + PROB_CLAMP:
         raise NumericalError(f"no-click probability {p!r} outside [0, 1] beyond tolerance")
@@ -337,9 +341,10 @@ def herald(state, measured, outcomes, order=None):
     measured = [int(m) for m in measured]
     if len(set(measured)) != len(measured):
         raise ValueError("measured modes must be distinct")
-    forced = dict(zip(measured, (int(b) for b in outcomes)))
-    if len(forced) != len(measured):
-        raise ValueError("need one outcome per measured mode")
+    outcomes = [int(b) for b in outcomes]
+    if len(outcomes) != len(measured) or any(b not in (0, 1) for b in outcomes):
+        raise ValueError("need one outcome, 0 or 1, per measured mode")
+    forced = dict(zip(measured, outcomes))
     mixture = state if isinstance(state, GaussianMixture) else GaussianMixture.from_state(state)
     probability = 1.0
     for label in _measurement_order(measured, order):

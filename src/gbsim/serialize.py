@@ -123,21 +123,23 @@ def sample_record_to_dict(record):
     return out
 
 
+def _sample_row(record, trace):
+    row = sample_record_to_dict(record)
+    if trace:
+        row["noclick_probs"] = [float(p) for p in record.noclick_probs]
+        row["branch_counts"] = list(record.branch_counts)
+    return row
+
+
 def save_samples(records, path, trace=False):
     """JSON-lines sample file, one record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            row = sample_record_to_dict(record)
-            if trace:
-                row["noclick_probs"] = [float(p) for p in record.noclick_probs]
-                row["branch_counts"] = list(record.branch_counts)
-            fh.write(dumps(row).rstrip("\n") + "\n")
+    save_jsonl((_sample_row(record, trace) for record in records), path)
 
 
 def save_jsonl(rows, path):
+    """JSON-lines file: one canonical ``dumps`` row per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(dumps(row).rstrip("\n") + "\n")
+        fh.writelines(dumps(row) for row in rows)
 
 
 def collision_report_to_dict(report):

@@ -9,7 +9,9 @@ from gbsim import (
     GaussianMixture,
     NumericalError,
     PipelineConfig,
+    QuadratureState,
     backaction,
+    condition_no_click,
     herald,
     heterodyne,
     homodyne,
@@ -21,6 +23,7 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.cv import measure_all_cv
+from gbsim.gaussian import random_state
 
 from conftest import gauss_legendre_2d, integrate_density, tmsv
 
@@ -157,6 +160,21 @@ class TestSampling:
 
 
 class TestBackaction:
+    def test_vacuum_projection_is_heterodyne_at_zero(self):
+        # a threshold no-click is the heterodyne (W = 1) outcome 0, up to 4 pi
+        rng = np.random.default_rng(3)
+        base = random_state(6, rng, pure=False)
+        state = QuadratureState(base.V, rng.normal(0.0, 0.7, 12))
+        mixture, _ = herald(state, [6, 5], [1, 1])
+        assert mixture.branch_count == 4
+        q, projected = condition_no_click(mixture, 2)
+        density = outcome_density(marginal(mixture, 2), heterodyne())
+        assert q == pytest.approx(4 * math.pi * density.pdf([0.0, 0.0])[0], rel=1e-12)
+        measured = backaction(mixture, 2, heterodyne(), [0.0, 0.0])
+        assert measured.labels == projected.labels
+        for name in ("weights", "covs", "means"):
+            np.testing.assert_allclose(getattr(measured, name), getattr(projected, name), rtol=1e-12, atol=0)
+
     def test_vacuum_product_state(self):
         mixture = GaussianMixture.from_state(vacuum_state(3))
         after = backaction(mixture, 3, heterodyne(), np.array([2.0, -1.0]))

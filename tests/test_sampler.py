@@ -266,6 +266,12 @@ class TestHerald:
         with pytest.raises(ValueError, match="permutation"):
             herald(squeezed_state([0.5, 0.7, 0.9]), [1, 2], [1, 0], order=order)
 
+    @pytest.mark.parametrize("outcomes", [[1, 0, 1], [2, 0], [-1, 0]])
+    def test_outcomes_must_be_one_bit_per_measured_mode(self, outcomes):
+        # an extra bit must not be dropped, nor a 2 taken as a click or a -1 as a no-click
+        with pytest.raises(ValueError, match="one outcome, 0 or 1"):
+            herald(squeezed_state([0.5, 0.7, 0.9]), [1, 2], outcomes)
+
 
 class TestPrune:
     def test_prune_is_approximate_but_normalized(self, rng):
