@@ -81,9 +81,12 @@ def _emit(obj, out):
 def _load_unitary(source, modes, seed):
     if source == "identity":
         return ComplexUnitary(np.eye(modes))
-    if source.startswith("haar"):
-        if "(" in source:
-            seed = int(source[source.index("(") + 1:source.rindex(")")])
+    if source == "haar" or source.startswith("haar("):
+        if source != "haar":
+            try:
+                seed = int(source[len("haar("):-1] if source.endswith(")") else "")
+            except ValueError:
+                raise FormatError(f"malformed unitary {source!r}: use haar(SEED)") from None
         if seed is None:
             raise FormatError("haar unitary needs a seed: use haar(SEED) or --seed")
         return haar_unitary(modes, np.random.default_rng(seed))

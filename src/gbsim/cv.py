@@ -5,7 +5,8 @@ outcome relates to the coherent amplitude by alpha = (x + i p) / 2. Each
 branch contributes a genuine 2D Gaussian with classical covariance
 V_B + W, so the signed mixture density integrates to one by construction
 (weights sum to one); pointwise nonnegativity is probed numerically when a
-density is built.
+density is built, on a scrambled Halton point set that is built once per
+process on the unit square and scaled to each density's box.
 
 Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
 both closed-form error-function mixtures, by bracketed bisection in CDF
@@ -16,12 +17,12 @@ W = 1 at outcome 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .errors import NumericalError
 from .gaussian import QuadratureState, apply_interferometer, haar_unitary, squeezed_state
@@ -91,6 +92,22 @@ def marginal(mixture, mode):
     )
 
 
+@functools.cache
+def _unit_probe_points():
+    """The negativity probe's scrambled Halton set on the unit square, read-only.
+
+    Each density scales it to its box as ``unit * (hi - lo) + lo``, the
+    expression ``qmc.scale`` evaluates, so the probe points are the ones a
+    per-density ``qmc.scale(qmc.Halton(d=2, seed=7).random(...), lo, hi)``
+    gives. ``scipy.stats`` is imported here, not at module load.
+    """
+    from scipy.stats import qmc
+
+    unit = qmc.Halton(d=2, seed=7).random(NEGATIVITY_PROBES)
+    unit.setflags(write=False)
+    return unit
+
+
 @dataclass(frozen=True)
 class OutcomeDensity:
     """Signed-Gaussian-mixture density over the outcome plane (x, p)."""
@@ -104,6 +121,8 @@ class OutcomeDensity:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         covs = np.asarray(self.covs, dtype=float).reshape(len(weights), 2, 2)
         means = np.asarray(self.means, dtype=float).reshape(len(weights), 2)
+        if not all(np.isfinite(arr).all() for arr in (weights, covs, means)):
+            raise ValueError("density weights, covariances and means must be finite")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise NumericalError("density weights must sum to 1")
         dets = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
@@ -120,8 +139,7 @@ class OutcomeDensity:
         sigma = np.sqrt(np.maximum(self.covs[:, 0, 0].max(), self.covs[:, 1, 1].max()))
         lo = self.means.min(axis=0) - 6 * sigma
         hi = self.means.max(axis=0) + 6 * sigma
-        points = qmc.scale(qmc.Halton(d=2, seed=7).random(NEGATIVITY_PROBES), lo, hi)
-        values = self.pdf(points)
+        values = self.pdf(_unit_probe_points() * (hi - lo) + lo)
         low = float(values.min())
         if low < NEGATIVITY_TOL:
             raise NumericalError(f"signed mixture is not a valid density: pdf = {low:.3e} < 0")
@@ -314,6 +332,8 @@ class PipelineConfig:
             raise ValueError("need at least one mode and one shot")
         if self.herald_count > self.modes:
             raise ValueError("cannot herald more photons than signal modes")
+        if self.pipeline == "A" and len(self.squeezing) not in (0, self.modes):
+            raise ValueError(f"squeezing needs one value per mode ({self.modes}) or none, got {len(self.squeezing)}")
 
 
 def paired_source_state(signal_modes, pairs, r):

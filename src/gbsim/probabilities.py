@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import NumericalError
 from .gaussian import (
@@ -424,5 +423,7 @@ def haar_bound_confidence(result, confidence=0.95):
     """One-sided upper confidence limit for the mean collision probability."""
     if result.trials < 2:
         return result.mean_epsilon
+    from scipy import stats  # imported here: slow to load, and only this call needs it
+
     tval = stats.t.ppf(confidence, result.trials - 1)
     return result.mean_epsilon + tval * result.stderr

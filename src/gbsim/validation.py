@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .gaussian import random_state
 from .hafnian import hafnian_naive, hafnian_powerset, hafnian_from_torontonian, hafnian_xo
@@ -169,6 +168,8 @@ def check_l1_identity(rng, modes=3):
 
 def check_sampler(rng, samples=3000, modes=3):
     """Chain-rule sampler against full enumeration (chi-square + exact path products)."""
+    from scipy import stats  # imported here: slow to load, and only this check needs it
+
     seed = int(rng.integers(0, 2 ** 32))
     state = random_state(modes, rng, max_squeezing=0.7)
     dist = distribution(state)

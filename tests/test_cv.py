@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtr
+from scipy.stats import qmc
 
 from gbsim import (
     GaussianMixture,
@@ -22,7 +23,7 @@ from gbsim import (
     simulate_pipeline,
     vacuum_state,
 )
-from gbsim.cv import measure_all_cv
+from gbsim.cv import NEGATIVITY_PROBES, OutcomeDensity, _unit_probe_points, measure_all_cv
 from gbsim.gaussian import random_state
 
 from conftest import gauss_legendre_2d, integrate_density, tmsv
@@ -116,6 +117,38 @@ class TestOutcomeDensity:
     def test_multimode_rejected(self):
         with pytest.raises(ValueError):
             outcome_density(GaussianMixture.from_state(vacuum_state(2)), heterodyne())
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ([0.0, 0.0], [1.0, 1.0]),
+            ([-6.0, -6.0], [6.0, 6.0]),
+            ([-13.7, 0.25], [4.1, 91.3]),
+            ([-1e3, -7.5], [-2.2, 1e-3]),
+        ],
+    )
+    def test_probe_points_match_per_density_qmc_scale(self, lo, hi):
+        lo, hi = np.array(lo), np.array(hi)
+        reference = qmc.scale(qmc.Halton(d=2, seed=7).random(NEGATIVITY_PROBES), lo, hi)
+        unit = _unit_probe_points()
+        assert np.array_equal(unit * (hi - lo) + lo, reference)
+        assert unit is _unit_probe_points()
+        assert not unit.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OutcomeDensity(weights=[1.0], covs=[np.eye(2)], means=[[bad, 0.0]], povm=heterodyne())
+
+    def test_negative_signed_density_rejected(self):
+        # 2 N(0, I) - N(0, I / 4) has pdf -1/pi at its mean
+        with pytest.raises(NumericalError, match="not a valid density"):
+            OutcomeDensity(
+                weights=[2.0, -1.0],
+                covs=[np.eye(2), 0.25 * np.eye(2)],
+                means=np.zeros((2, 2)),
+                povm=heterodyne(),
+            )
 
 
 class TestSampling:
@@ -291,6 +324,10 @@ class TestPipelines:
         records, meta = simulate_pipeline(config)
         for rec in records:
             assert [c["povm"] for c in rec["cv"]] == ["het", "het"]
+
+    def test_pipeline_a_squeezing_needs_one_value_per_mode(self):
+        with pytest.raises(ValueError, match="squeezing"):
+            PipelineConfig(pipeline="A", modes=3, shots=1, seed=1, squeezing=(0.5, 0.5))
 
     def test_pipeline_determinism(self):
         config = PipelineConfig(pipeline="B", modes=2, shots=10, seed=11, herald_count=1)

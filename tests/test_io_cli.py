@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,10 @@ class TestCliExitCodes:
             ("--seed", "1", "sample", "{state}", "-n", "2", "--order", "1,a", "--out", "{out}"),
             ("herald", "{state}", "--click", "z"),
             ("bench", "--kind", "tor", "--sizes", "1:b"),
+            ("prep", "--squeeze", "0.5,0.5", "--unitary", "haar(x)", "--out", "{out}"),
+            ("--seed", "1", "prep", "--squeeze", "0.5,0.5", "--unitary", "haar(5)x", "--out", "{out}"),
+            ("--seed", "1", "cv", "--pipeline", "C", "--modes", "2", "--shots", "1", "--unitary", "haar(5",
+             "--out", "{out}"),
         ],
     )
     def test_malformed_list_argument_is_format_error(self, tmp_path, argv):
@@ -289,3 +297,12 @@ class TestCliBench:
         # N = 2 stays comfortably inside the smoke budget
         n2 = float(lines[1].split(",")[1])
         assert n2 < 0.01
+
+
+class TestCliImport:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs most of a CLI call's start-up; only cold paths import it, lazily
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = "import sys, gbsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
