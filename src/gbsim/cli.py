@@ -87,8 +87,8 @@ def _load_unitary(source, modes, seed):
                 seed = int(source[len("haar("):-1] if source.endswith(")") else "")
             except ValueError:
                 raise FormatError(f"malformed unitary {source!r}: use haar(SEED)") from None
-        if seed is None:
-            raise FormatError("haar unitary needs a seed: use haar(SEED) or --seed")
+        if seed is None or seed < 0:
+            raise FormatError("haar unitary needs a nonnegative seed: use haar(SEED) or --seed")
         return haar_unitary(modes, np.random.default_rng(seed))
     matrix = serialize.load_matrix(source)
     if matrix.shape != (modes, modes):
@@ -97,6 +97,14 @@ def _load_unitary(source, modes, seed):
         return ComplexUnitary(matrix)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _load_square_matrix(path):
+    """A matrix file that is square with even dimension, as ``tor`` and ``haf`` take."""
+    matrix = serialize.load_matrix(path)
+    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+        raise FormatError(f"matrix file has shape {matrix.shape}, expected square with even dimension")
+    return matrix
 
 
 def cmd_prep(args):
@@ -123,7 +131,7 @@ def cmd_prep(args):
 
 
 def cmd_tor(args):
-    result = torontonian(serialize.load_matrix(args.matrix), threads=args.threads)
+    result = torontonian(_load_square_matrix(args.matrix), threads=args.threads)
     _emit(
         {
             "value": result.value,
@@ -138,7 +146,7 @@ def cmd_tor(args):
 
 
 def cmd_haf(args):
-    matrix = serialize.load_matrix(args.matrix)
+    matrix = _load_square_matrix(args.matrix)
     value = hafnian_powerset(matrix)
     _emit({"re": value.real, "im": value.imag, "terms": 1 << (matrix.shape[0] // 2)}, args.out)
     return EXIT_OK

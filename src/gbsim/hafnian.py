@@ -14,7 +14,7 @@ with the naive evaluator (exercised in the test suite and by the
 
 The subset sum runs on the power-set engine of ``torontonian``: masks in
 chunks, each chunk grouped by popcount, the power traces of every group
-taken in one batched call and the exp-of-power-sums recurrence run over
+taken by batched matrix powers and the exp-of-power-sums recurrence run over
 the whole group, the signed terms summed exactly by fsum. The same engine
 gives ``hafnian_from_torontonian`` through ``torontonian_series``.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gaussian import KernelMatrix, block_swap
-from .torontonian import _exp_series, _power_traces, _powerset_sum, torontonian_series
+from .torontonian import _as_matrix, _exp_series, _power_traces, _powerset_sum, torontonian_series
 
 NAIVE_MAX_DIM = 16  # (2m-1)!! growth; oracle scale
 POWERSET_MAX_DIM = 30
@@ -74,8 +74,7 @@ def f_coefficient(C, order):
 
     Equivalently the order-th coefficient of exp(sum_k Tr(C^k) eta^k / (2k));
     extending the trace sum beyond ``order`` cannot change it. Traces come
-    from eigenvalues for dimension >= 8 and from explicit matrix powers
-    below that.
+    from explicit matrix powers.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -107,13 +106,8 @@ def hafnian_from_torontonian(O):
     Torontonian equals the Hafnian of X O, which must be real for kernels
     of physical states.
     """
-    if isinstance(O, KernelMatrix):
-        modes = O.modes
-    else:
-        O = np.asarray(O, dtype=complex)
-        modes = O.shape[0] // 2
-    coeffs = torontonian_series(O, modes)
-    return float(coeffs[modes])
+    modes = _as_matrix(O).shape[0] // 2
+    return float(torontonian_series(O, modes)[modes])
 
 
 def hafnian_xo(O):

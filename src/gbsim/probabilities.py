@@ -84,9 +84,12 @@ def pnr_prob(state, pattern):
     if not isinstance(pattern, PNRPattern):
         pattern = PNRPattern(state.modes, tuple(pattern))
     sigma, kernel, sqdet = state_kernel(state)
-    haf = hafnian_xo(reduce_matrix(kernel.matrix, pattern))
-    denom = sqdet * math.prod(math.factorial(c) for c in pattern.counts)
-    return _clamp_probability(haf / denom, "pnr_prob")
+    return _clamp_probability(_pnr_term(kernel, pattern.counts) / sqdet, "pnr_prob")
+
+
+def _pnr_term(kernel, counts):
+    """Haf(X O_(s)) / prod(s_k!) for a mode-indexed count vector s."""
+    return hafnian_xo(reduce_matrix(kernel.matrix, counts)) / math.prod(math.factorial(c) for c in counts)
 
 
 def threshold_prob_oracle(state, pattern):
@@ -115,13 +118,14 @@ def threshold_prob_oracle(state, pattern):
     return _clamp_probability(total, "threshold_prob_oracle")
 
 
-def _patterns_with_support(support, total):
-    """All count vectors over ``support`` (0-based), each >= 1, summing to ``total``."""
+def _patterns_with_support(modes, support, total):
+    """Mode-indexed count vectors, >= 1 on ``support`` (0-based) and 0 elsewhere, summing to ``total``."""
     if total < len(support) or not support:
         return
     for cuts in itertools.combinations(range(1, total), len(support) - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        counts = np.zeros(modes, dtype=int)
+        counts[support] = np.diff((0,) + cuts + (total,))
+        yield counts
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,8 @@ def tor_as_hafnian_sum(state, pattern, photon_cutoff):
     running = 0.0
     partials = []
     for total in range(pattern.size, photon_cutoff + 1):
-        for counts in _patterns_with_support(support, total):
-            mult = [0] * state.modes
-            for mode, c in zip(support, counts):
-                mult[mode] = c
-            reduced = reduce_matrix(kernel.matrix, mult)
-            term = hafnian_xo(reduced) / math.prod(math.factorial(c) for c in counts)
-            running += term
+        for counts in _patterns_with_support(state.modes, support, total):
+            running += _pnr_term(kernel, counts)
         partials.append((total, running))
     if pattern.size == 0:
         partials = [(0, 1.0)]
@@ -368,8 +367,7 @@ def _l1_patternwise(state, kernel, sqdet, threshold, cutoff, moments):
         n = sum(counts)
         if n == 0 or n > cutoff:
             continue
-        reduced = reduce_matrix(kernel.matrix, counts)
-        p = hafnian_xo(reduced) / (sqdet * math.prod(math.factorial(c) for c in counts))
+        p = _pnr_term(kernel, counts) / sqdet
         if max(counts) <= 1:
             clicked = tuple(i + 1 for i, c in enumerate(counts) if c)
             total += abs(p - threshold[clicked])

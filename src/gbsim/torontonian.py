@@ -12,7 +12,7 @@ convention Tor is a probability weight: Tor([[0, t], [t, 0]]) = 1/sqrt(1 - t^2) 
 One engine evaluates every signed sum of this shape: the Torontonian
 (batched Cholesky), its eta series (batched eigvalsh, then the
 exp-of-power-sums recurrence) and the power-set Hafnian in ``hafnian``
-(batched power traces, same recurrence). It walks the masks in bitmask
+(batched matrix-power traces, same recurrence). It walks the masks in bitmask
 order (mask 0 .. 2^N - 1, bit k = mode k+1) in chunks of 2^CHUNK_BITS,
 groups each chunk by popcount and evaluates every group's stack of
 reduced blocks in one batched call. Each chunk is summed exactly
@@ -37,7 +37,6 @@ from .gaussian import KernelMatrix
 
 CHUNK_BITS = 13  # 8192 subsets per summation chunk
 CANCELLATION_RATIO = 1e12
-_EIGENVALUE_TRACE_DIM = 8  # below this, power traces come from explicit matrix powers
 
 # Flipped by the validation mutation tests only; never set in production code.
 _SIGN_FLIP = False
@@ -185,12 +184,11 @@ def _inverse_sqrt_det(blocks):
 def _power_traces(blocks, order, hermitian=False):
     """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order).
 
-    Hermitian stacks use eigvalsh. Other stacks use eigvals at
-    d >= _EIGENVALUE_TRACE_DIM and explicit matrix powers below it.
+    Hermitian stacks use eigvalsh; other stacks use batched matrix powers.
     """
     traces = np.empty((len(blocks), order), dtype=float if hermitian else complex)
-    if hermitian or blocks.shape[-1] >= _EIGENVALUE_TRACE_DIM:
-        eigs = np.linalg.eigvalsh(blocks) if hermitian else np.linalg.eigvals(blocks)
+    if hermitian:
+        eigs = np.linalg.eigvalsh(blocks)
         power = eigs
         for k in range(order):
             if k:

@@ -86,6 +86,8 @@ class TestCliExitCodes:
             ("--seed", "1", "prep", "--squeeze", "0.5,0.5", "--unitary", "haar(5)x", "--out", "{out}"),
             ("--seed", "1", "cv", "--pipeline", "C", "--modes", "2", "--shots", "1", "--unitary", "haar(5",
              "--out", "{out}"),
+            ("prep", "--squeeze", "0.5,0.5", "--unitary", "haar(-3)", "--out", "{out}"),
+            ("--seed", "-3", "prep", "--squeeze", "0.5,0.5", "--unitary", "haar", "--out", "{out}"),
         ],
     )
     def test_malformed_list_argument_is_format_error(self, tmp_path, argv):
@@ -93,6 +95,13 @@ class TestCliExitCodes:
         save_state(squeezed_state([0.5, 0.5]), state_path)
         out = tmp_path / "out.json"
         assert run_cli(*(a.format(state=state_path, out=out) for a in argv)) == 3
+
+    @pytest.mark.parametrize("command", ["tor", "haf"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+    def test_matrix_not_square_even_is_format_error(self, tmp_path, command, shape):
+        path = tmp_path / "matrix.json"
+        save_matrix(np.zeros(shape, dtype=complex), path)
+        assert run_cli(command, path) == 3
 
     def test_success_is_zero(self, tmp_path):
         path = tmp_path / "kernel.json"
@@ -285,6 +294,12 @@ class TestCliValidate:
         out = json.loads(capsys.readouterr().out)
         failed = {c["name"] for c in out["checks"] if not c["passed"]}
         assert "hafnian_diagonal" in failed or "hafnian_oracle" in failed
+
+    def test_haf_sign_flip_caught(self, capsys):
+        assert run_cli("--seed", 123, "validate", "--scale", "small", "--mutate", "haf_sign_flip") == 1
+        out = json.loads(capsys.readouterr().out)
+        failed = {c["name"] for c in out["checks"] if not c["passed"]}
+        assert "hafnian_oracle" in failed
 
 
 class TestCliBench:
