@@ -244,17 +244,19 @@ def cmd_collision(args):
 
 
 def cmd_validate(args):
-    passed, checks = run_validation(seed=args.seed or 20240801, scale=args.scale, mutate=args.mutate)
+    seed = 20240801 if args.seed is None else args.seed
+    passed, checks = run_validation(seed=seed, scale=args.scale, mutate=args.mutate)
     _emit({"passed": passed, "checks": [c.to_dict() for c in checks]}, args.out)
     return EXIT_OK if passed else 1
 
 
 def cmd_bench(args):
     sizes = _parse_range(args.sizes)
+    seed = 1 if args.seed is None else args.seed
     if args.kind == "tor":
-        result = bench_torontonian(sizes, args.seed or 1, threads=args.threads)
+        result = bench_torontonian(sizes, seed, threads=args.threads)
     else:
-        result = bench_sampler(sizes, args.seed or 1)
+        result = bench_sampler(sizes, seed)
     csv = result.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

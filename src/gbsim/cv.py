@@ -30,6 +30,7 @@ from .sampler import (
     MIN_EVENT_PROB,
     GaussianMixture,
     _condition,
+    _measurement_order,
     _mode_position,
     _substream_rng,
     herald,
@@ -287,7 +288,7 @@ def backaction(mixture, mode, povm, outcome):
 def measure_all_cv(mixture, povm, rng, tol=CDF_TOL):
     """Measure every remaining mode of a mixture with one POVM, highest label first."""
     records = []
-    for label in sorted(mixture.labels, reverse=True):
+    for label in _measurement_order(mixture.labels, None):
         single = marginal(mixture, label)
         density = outcome_density(single, povm)
         outcome = sample_outcome(density, rng, tol)

@@ -100,6 +100,23 @@ def min_physicality_eigenvalue(V):
     return float(np.linalg.eigvalsh(H)[0].real)
 
 
+def _block_hermitian(M, modes, name):
+    """M checked to be a 2N x 2N Hermitian matrix with X M* X = M, symmetrised and read-only."""
+    M = np.asarray(M, dtype=complex)
+    n = 2 * modes
+    if M.shape != (n, n):
+        raise ValueError(f"expected {n} x {n} matrix")
+    scale = max(1.0, np.abs(M).max())
+    if np.abs(M - M.conj().T).max() > 1e-10 * scale:
+        raise PhysicalityError(f"{name} must be Hermitian")
+    X = block_swap(modes)
+    if np.abs(M - X @ M.conj() @ X).max() > 1e-10 * scale:
+        raise PhysicalityError(f"{name} lacks the (alpha, alpha*) block symmetry")
+    M = 0.5 * (M + M.conj().T)
+    M.setflags(write=False)
+    return M
+
+
 @dataclass(frozen=True)
 class HusimiCovariance:
     """Covariance of the Gaussian Q function in the (alpha, alpha*) layout."""
@@ -108,20 +125,10 @@ class HusimiCovariance:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=complex)
-        n = 2 * self.modes
-        if sigma.shape != (n, n):
-            raise ValueError(f"expected {n} x {n} matrix")
-        if np.abs(sigma - sigma.conj().T).max() > 1e-10 * max(1.0, np.abs(sigma).max()):
-            raise PhysicalityError("Husimi covariance must be Hermitian")
-        X = block_swap(self.modes)
-        if np.abs(sigma - X @ sigma.conj() @ X).max() > 1e-10 * max(1.0, np.abs(sigma).max()):
-            raise PhysicalityError("Husimi covariance lacks the (alpha, alpha*) block symmetry")
+        sigma = _block_hermitian(self.sigma, self.modes, "Husimi covariance")
         low = float(np.linalg.eigvalsh(sigma)[0].real)
         if low < 0.5 - PHYSICALITY_TOL:
             raise PhysicalityError(f"Husimi covariance eigenvalue {low:.6g} below the vacuum floor 1/2")
-        sigma = 0.5 * (sigma + sigma.conj().T)
-        sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
 
 
@@ -133,19 +140,7 @@ class KernelMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        O = np.asarray(self.matrix, dtype=complex)
-        n = 2 * self.modes
-        if O.shape != (n, n):
-            raise ValueError(f"expected {n} x {n} matrix")
-        scale = max(1.0, np.abs(O).max())
-        if np.abs(O - O.conj().T).max() > 1e-10 * scale:
-            raise PhysicalityError("kernel matrix must be Hermitian")
-        X = block_swap(self.modes)
-        if np.abs(O - X @ O.conj() @ X).max() > 1e-10 * scale:
-            raise PhysicalityError("kernel matrix lacks the (alpha, alpha*) block symmetry")
-        O = 0.5 * (O + O.conj().T)
-        O.setflags(write=False)
-        object.__setattr__(self, "matrix", O)
+        object.__setattr__(self, "matrix", _block_hermitian(self.matrix, self.modes, "kernel matrix"))
 
     @property
     def spectral_radius(self):

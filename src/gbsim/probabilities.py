@@ -363,16 +363,13 @@ def _l1_patternwise(state, kernel, sqdet, threshold, cutoff, moments):
     if cutoff < state.modes:
         raise ValueError("photon cutoff must reach the mode count for the L1 route")
     total = 0.0
-    for counts in itertools.product(range(cutoff + 1), repeat=state.modes):
-        n = sum(counts)
-        if n == 0 or n > cutoff:
-            continue
-        p = _pnr_term(kernel, counts) / sqdet
-        if max(counts) <= 1:
-            clicked = tuple(i + 1 for i, c in enumerate(counts) if c)
-            total += abs(p - threshold[clicked])
-        else:
-            total += p
+    for clicked in _click_patterns(state.modes)[1:]:
+        support = [i - 1 for i in clicked]
+        for n in range(len(clicked), cutoff + 1):
+            for counts in _patterns_with_support(state.modes, support, n):
+                p = _pnr_term(kernel, counts) / sqdet
+                # only the collision-free pattern (n = |S|) has a threshold counterpart
+                total += abs(p - threshold[clicked]) if n == len(clicked) else p
     # N = 0: the empty PNR pattern and the empty click pattern coincide.
     tail = float(moments.distribution[cutoff + 1:].sum()) + moments.tail_bound
     return 0.5 * total, 0.5 * tail + 1e-12

@@ -10,9 +10,9 @@ kept subset so that the empty subset contributes (-1)^N; with this
 convention Tor is a probability weight: Tor([[0, t], [t, 0]]) = 1/sqrt(1 - t^2) - 1.
 
 One engine evaluates every signed sum of this shape: the Torontonian
-(batched Cholesky), its eta series (batched eigvalsh, then the
-exp-of-power-sums recurrence) and the power-set Hafnian in ``hafnian``
-(batched matrix-power traces, same recurrence). It walks the masks in bitmask
+(batched Cholesky), and both its eta series and the power-set Hafnian in
+``hafnian`` (batched matrix-power traces, then the exp-of-power-sums
+recurrence). It walks the masks in bitmask
 order (mask 0 .. 2^N - 1, bit k = mode k+1) in chunks of 2^CHUNK_BITS,
 groups each chunk by popcount and evaluates every group's stack of
 reduced blocks in one batched call. Each chunk is summed exactly
@@ -181,31 +181,23 @@ def _inverse_sqrt_det(blocks):
     return np.exp(-logdiag.sum(axis=1))
 
 
-def _power_traces(blocks, order, hermitian=False):
-    """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order).
-
-    Hermitian stacks use eigvalsh; other stacks use batched matrix powers.
-    """
-    traces = np.empty((len(blocks), order), dtype=float if hermitian else complex)
-    if hermitian:
-        eigs = np.linalg.eigvalsh(blocks)
-        power = eigs
-        for k in range(order):
-            if k:
-                power = power * eigs
-            traces[:, k] = power.sum(axis=-1)
-    else:
-        power = blocks
-        for k in range(order):
-            if k:
-                power = power @ blocks
-            traces[:, k] = np.trace(power, axis1=1, axis2=2)
+def _power_traces(blocks, order):
+    """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order), by batched matrix powers."""
+    traces = np.empty((len(blocks), order), dtype=complex)
+    power = blocks
+    for k in range(order):
+        if k:
+            power = power @ blocks
+        traces[:, k] = np.trace(power, axis1=1, axis2=2)
     return traces
 
 
 def _eta_series(order):
-    """Engine evaluator: coefficients 0..order of the eta series of det(1 - eta C)^(-1/2), C Hermitian."""
-    return lambda blocks: _exp_series(_power_traces(blocks, order, hermitian=True))
+    """Engine evaluator: coefficients 0..order of the eta series of det(1 - eta C)^(-1/2), C Hermitian.
+
+    Traces of Hermitian powers are real; the real part drops their imaginary roundoff.
+    """
+    return lambda blocks: _exp_series(_power_traces(blocks, order).real)
 
 
 def _exp_series(traces):
@@ -278,8 +270,8 @@ def torontonian_series(O, order):
     """Power-series coefficients c_0 .. c_order of Tor(eta * O) in eta.
 
     Each subset contributes the series of det(1 - eta O_(Z))^(-1/2),
-    computed from the eigenvalues of O_(Z); the signed subset sum then
-    yields the coefficients. c_0 = 0 whenever N >= 1.
+    computed from the traces of the powers of O_(Z); the signed subset
+    sum then yields the coefficients. c_0 = 0 whenever N >= 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gbsim import FormatError, squeezed_state, vacuum_state
+from gbsim import cli
 from gbsim.cli import main
 from gbsim.gaussian import random_state
 from gbsim.serialize import (
@@ -312,6 +314,25 @@ class TestCliBench:
         # N = 2 stays comfortably inside the smoke budget
         n2 = float(lines[1].split(",")[1])
         assert n2 < 0.01
+
+
+class TestCliSeed:
+    """``--seed 0`` is a seed like any other, not a request for the default."""
+
+    @pytest.mark.parametrize("argv, expected", [(("--seed", 0), 0), ((), 20240801)])
+    def test_validate_receives_seed(self, monkeypatch, capsys, argv, expected):
+        seen = []
+        monkeypatch.setattr(cli, "run_validation", lambda seed, **kw: seen.append(seed) or (True, []))
+        assert run_cli(*argv, "validate") == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("kind, runner", [("tor", "bench_torontonian"), ("sample", "bench_sampler")])
+    def test_bench_receives_seed_zero(self, monkeypatch, capsys, tmp_path, kind, runner):
+        seen = []
+        result = SimpleNamespace(kind=kind, doubling_factor=2.0, to_csv=lambda: "size\n")
+        monkeypatch.setattr(cli, runner, lambda sizes, seed, **kw: seen.append(seed) or result)
+        assert run_cli("--seed", 0, "bench", "--kind", kind, "--sizes", "2", "--out", tmp_path / "b.csv") == 0
+        assert seen == [0]
 
 
 class TestCliImport:

@@ -1,10 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from gbsim import (
     PhysicalityError,
+    apply_interferometer,
+    haar_unitary,
+    hafnian_from_torontonian,
     hafnian_naive,
     husimi_covariance,
     kernel_matrix,
@@ -20,6 +24,33 @@ from gbsim.gaussian import block_swap, random_state, sqrt_det_sigma
 
 def kernel_of(state):
     return kernel_matrix(husimi_covariance(state))
+
+
+def mp_series_terms(O, order):
+    """Signed subset terms (-1)^(N - |Z|) [eta^order] det(1 - eta O_(Z))^(-1/2) in 40-digit arithmetic.
+
+    The same power-set trace formula as the engine, evaluated term by term
+    with mpmath matrix powers; the terms sum to [eta^order] Tor(eta O).
+    """
+    modes = O.shape[0] // 2
+    terms = []
+    with mpmath.workdps(40):
+        for mask in range(1 << modes):
+            kept = [i for i in range(modes) if mask >> i & 1]
+            idx = kept + [i + modes for i in kept]
+            traces = [mpmath.mpf(0)] * order
+            if idx:
+                C = mpmath.matrix([[mpmath.mpc(O[a, b]) for b in idx] for a in idx])
+                power = C
+                for k in range(order):
+                    if k:
+                        power = power * C
+                    traces[k] = sum(power[i, i] for i in range(len(idx)))
+            coeff = [mpmath.mpf(1)]
+            for m in range(1, order + 1):
+                coeff.append(sum(traces[j - 1] / 2 * coeff[m - j] for j in range(1, m + 1)) / m)
+            terms.append((-1) ** (modes - len(kept)) * mpmath.re(coeff[order]))
+    return terms
 
 
 def squeezed_kernel(r):
@@ -148,3 +179,20 @@ class TestTorontonianSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             torontonian_series(np.zeros((2, 2)), -1)
+
+    def test_bridge_matches_extended_precision(self):
+        # Collision-free 6-photon patterns of a 16-mode Haar state at squeezing 0.6.
+        # The subset sum cancels, so the error is bounded by 2^-53 times the sum
+        # of the absolute terms: matrix-power traces stay at or below 0.9 of that
+        # over 20 seeds of 6 patterns, eigenvalue traces reach 1.2-5.3 per seed.
+        rng = np.random.default_rng(1)
+        state = apply_interferometer(squeezed_state([0.6] * 16), haar_unitary(16, rng))
+        K = kernel_of(state).matrix
+        for _ in range(6):
+            counts = np.zeros(16, dtype=int)
+            counts[rng.choice(16, 6, replace=False)] = 1
+            O = reduce_matrix(K, counts)
+            terms = mp_series_terms(O, 6)
+            ref = float(mpmath.fsum(terms))
+            scale = float(mpmath.fsum(abs(t) for t in terms))
+            assert abs(hafnian_from_torontonian(O) - ref) <= 2.0 ** -53 * scale
