@@ -355,8 +355,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.tolerance <= 0:
-            raise FormatError("--tolerance must be positive")
+        if not args.tolerance > 0:
+            raise FormatError(f"--tolerance must be positive, got {args.tolerance}")
         return args.func(args)
     except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

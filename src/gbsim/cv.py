@@ -6,13 +6,16 @@ branch contributes a genuine 2D Gaussian with classical covariance
 V_B + W, so the signed mixture density integrates to one by construction
 (weights sum to one); pointwise nonnegativity is probed numerically when a
 density is built, on a scrambled Halton point set that is built once per
-process on the unit square and scaled to each density's box.
+process on the unit square and scaled to each density's box: the branch
+means +- 6 sigma, each axis by its own largest branch variance, so a
+homodyne density's x range does not take the width of its p range.
 
 Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
-both closed-form error-function mixtures, by bracketed bisection in CDF
-space. Backaction is the sampler's one conditioning step
-(``sampler._condition``), of which a threshold no-click is the special case
-W = 1 at outcome 0.
+both closed-form error-function mixtures, by Newton steps on the
+closed-form mixture pdf inside a bracket that every CDF evaluation
+shrinks (a step that leaves the bracket falls back to its midpoint).
+Backaction is the sampler's one conditioning step (``sampler._condition``),
+of which a threshold no-click is the special case W = 1 at outcome 0.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class GaussianPOVM:
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
+        if not np.isfinite(W).all():
+            raise ValueError("W must be finite")
         if W.shape != (2, 2) or abs(W[0, 1] - W[1, 0]) > 1e-12 * max(1.0, np.abs(W).max()):
             raise ValueError("W must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(W)[0] <= 0:
@@ -72,8 +77,8 @@ def homodyne(s=DEFAULT_HOMODYNE_S):
     Finite s approximates an ideal quadrature measurement with outcome
     variance error O(1/s^2).
     """
-    if s <= 0:
-        raise ValueError("squeezing factor s must be positive")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"squeezing factor s must be finite and positive, got {s}")
     return GaussianPOVM(np.diag([1.0 / s ** 2, s ** 2]), "hom")
 
 
@@ -137,7 +142,7 @@ class OutcomeDensity:
         self._probe_negativity()
 
     def _probe_negativity(self):
-        sigma = np.sqrt(np.maximum(self.covs[:, 0, 0].max(), self.covs[:, 1, 1].max()))
+        sigma = np.sqrt([self.covs[:, 0, 0].max(), self.covs[:, 1, 1].max()])
         lo = self.means.min(axis=0) - 6 * sigma
         hi = self.means.max(axis=0) + 6 * sigma
         values = self.pdf(_unit_probe_points() * (hi - lo) + lo)
@@ -148,17 +153,17 @@ class OutcomeDensity:
     def pdf(self, points):
         """Density at an (n, 2) array of outcome points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = points[:, None, :] - self.means[None, :, :]
+        x, p = points[:, 0], points[:, 1]
         a = self.covs[:, 0, 0]
         b = self.covs[:, 0, 1]
         d = self.covs[:, 1, 1]
         det = a * d - b * b
-        quad = (
-            d[None, :] * diff[:, :, 0] ** 2
-            - 2 * b[None, :] * diff[:, :, 0] * diff[:, :, 1]
-            + a[None, :] * diff[:, :, 1] ** 2
-        ) / det[None, :]
-        comps = np.exp(-0.5 * quad) / (2 * math.pi * np.sqrt(det))[None, :]
+        norm = 2 * math.pi * np.sqrt(det)
+        comps = np.empty((len(points), len(self.weights)))
+        for k, (mx, mp) in enumerate(self.means):
+            dx, dy = x - mx, p - mp
+            quad = (d[k] * dx ** 2 - 2 * b[k] * dx * dy + a[k] * dy ** 2) / det[k]
+            comps[:, k] = np.exp(-0.5 * quad) / norm[k]
         return comps @ self.weights
 
     def _conditional_components(self, x):
@@ -194,12 +199,16 @@ def outcome_density(mixture, povm):
 
 
 def _invert_mixture_cdf(u, weights, means, sigmas, tol):
-    """Vectorized bisection for signed-normal-mixture CDFs.
+    """Vectorized safeguarded Newton solve of signed-normal-mixture CDFs.
 
-    The CDF is monotone (the mixture is a true density); every target u in
-    (0, 1) is bracketed by mean +- 12 sigma and bisected until the CDF
-    mismatch drops below ``tol`` (or the bracket reaches floating point
-    resolution).
+    The CDF is monotone (the mixture is a true density); every target u is
+    bracketed by mean +- 12 sigma, widened for extreme quantiles. Each
+    iteration shrinks the bracket by the sign of the CDF mismatch, then takes
+    a Newton step on the closed-form pdf ``sum_k w_k phi(z_k) / sigma_k``,
+    falling back to the bracket midpoint where the step is not strictly
+    inside (a vanishing or rounded-negative pdf gives such a step). It stops
+    once the mismatch is at most ``tol`` or the bracket reaches floating
+    point resolution.
     """
     u = np.asarray(u, dtype=float)
     lo = np.full(u.shape, (means - 12 * sigmas).min(axis=-1))
@@ -220,19 +229,23 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
         if not bad.any():
             break
         hi = np.where(bad, hi + (hi - lo), hi)
+    scaled_weights = weights / (sigmas * math.sqrt(2 * math.pi))
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        fx = cdf(x)
-        err = fx - u
+        z = (x[..., None] - means) / sigmas
+        err = np.sum(ndtr(z) * weights, axis=-1) - u
         done = np.abs(err) <= tol
         width_ok = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))
         if np.all(done | width_ok):
             break
         hi = np.where(err > 0, x, hi)
         lo = np.where(err > 0, lo, x)
-        x = 0.5 * (lo + hi)
+        pdf = np.sum(np.exp(-0.5 * z * z) * scaled_weights, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - err / pdf
+        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
     else:
-        raise NumericalError("inverse-CDF bisection did not converge; density is likely invalid")
+        raise NumericalError("inverse-CDF Newton solve did not converge in its bracket; density is likely invalid")
     return x
 
 
@@ -335,6 +348,10 @@ class PipelineConfig:
             raise ValueError("cannot herald more photons than signal modes")
         if self.pipeline == "A" and len(self.squeezing) not in (0, self.modes):
             raise ValueError(f"squeezing needs one value per mode ({self.modes}) or none, got {len(self.squeezing)}")
+        for name in ("homodyne_s", "cdf_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def paired_source_state(signal_modes, pairs, r):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 from scipy.stats import qmc
@@ -23,8 +25,18 @@ from gbsim import (
     simulate_pipeline,
     vacuum_state,
 )
-from gbsim.cv import NEGATIVITY_PROBES, OutcomeDensity, _unit_probe_points, measure_all_cv
-from gbsim.gaussian import random_state
+from gbsim.cv import (
+    CDF_TOL,
+    NEGATIVITY_PROBES,
+    GaussianPOVM,
+    OutcomeDensity,
+    _invert_mixture_cdf,
+    _unit_probe_points,
+    measure_all_cv,
+    paired_source_state,
+)
+from gbsim.gaussian import haar_unitary, random_state
+from gbsim.sampler import mixture_apply_interferometer
 
 from conftest import gauss_legendre_2d, integrate_density, tmsv
 
@@ -41,10 +53,19 @@ class TestPOVM:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             homodyne(-1.0)
-        from gbsim import GaussianPOVM
 
         with pytest.raises(ValueError):
             GaussianPOVM(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("s", [0.0, math.nan, math.inf, -math.inf])
+    def test_homodyne_s_must_be_finite_and_positive(self, s):
+        with pytest.raises(ValueError, match="finite and positive"):
+            homodyne(s)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_W_rejected(self, bad):
+        with pytest.raises(ValueError, match="W must be finite"):
+            GaussianPOVM(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 class TestMarginal:
@@ -114,6 +135,26 @@ class TestOutcomeDensity:
         g2 = math.exp(-(0.7 ** 2 + 0.4 ** 2) / 4) / (4 * math.pi)
         assert density.pdf(x)[0] == pytest.approx(w1 * g1 + w2 * g2, rel=1e-12)
 
+    @pytest.mark.parametrize("povm", [heterodyne(), homodyne()], ids=["het", "hom"])
+    def test_eight_branch_closed_form(self, povm):
+        mixture, _ = herald(paired_source_state(3, 3, 0.9), [4, 5, 6], [1, 1, 1])
+        mixture = mixture_apply_interferometer(mixture, haar_unitary(3, np.random.default_rng(5)).matrix)
+        density = outcome_density(marginal(mixture, 2), povm)
+        assert len(density.weights) == 8
+        scale = np.sqrt([density.covs[:, 0, 0].max(), density.covs[:, 1, 1].max()])
+        points = np.random.default_rng(6).normal(0.0, 1.0, (100, 2)) * scale
+        expected = []
+        for x, p in points:
+            terms = []
+            for w, cov, mean in zip(density.weights, density.covs, density.means):
+                a, b, d = cov[0, 0], cov[0, 1], cov[1, 1]
+                det = a * d - b * b
+                dx, dy = x - mean[0], p - mean[1]
+                quad = (d * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
+                terms.append(w * math.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det)))
+            expected.append(math.fsum(terms))
+        assert density.pdf(points) == pytest.approx(expected, rel=1e-12)
+
     def test_multimode_rejected(self):
         with pytest.raises(ValueError):
             outcome_density(GaussianMixture.from_state(vacuum_state(2)), heterodyne())
@@ -149,6 +190,56 @@ class TestOutcomeDensity:
                 means=np.zeros((2, 2)),
                 povm=heterodyne(),
             )
+
+    def test_negative_homodyne_shaped_density_rejected(self):
+        # the density above stretched 1e3-fold along p, as a homodyne(1e3)
+        # outcome density is: pdf -3.2e-4 at its mean, inside |x| < 1, so a
+        # probe box sized by the p spread on both axes misses it
+        with pytest.raises(NumericalError, match="not a valid density"):
+            OutcomeDensity(
+                weights=[2.0, -1.0],
+                covs=[np.diag([1.0, 1e6]), np.diag([0.25, 0.25e6])],
+                means=np.zeros((2, 2)),
+                povm=homodyne(),
+            )
+
+
+def _cdf_residual(u, weights, means, sigmas):
+    """|CDF(x) - u| at the inverter's solution x, by the closed-form CDF."""
+    x = _invert_mixture_cdf(u, weights, means, sigmas, CDF_TOL)
+    return np.abs(np.sum(ndtr((x[..., None] - means) / sigmas) * weights, axis=-1) - u)
+
+
+class TestInverseCdf:
+    QUANTILES = np.array([0.0, 1e-300, 1e-13, 0.25, 0.5, 0.75, 1 - 1e-13, np.nextafter(1.0, 0.0)])
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_heralded_single_photon_quantiles(self, r):
+        # the x marginal dips towards zero at its median
+        mixture, _ = herald(paired_source_state(1, 1, r), [2], [1])
+        density = outcome_density(marginal(mixture, 1), homodyne())
+        sigmas = np.sqrt(density.covs[:, 0, 0])
+        assert _cdf_residual(self.QUANTILES, density.weights, density.means[:, 0], sigmas).max() <= CDF_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        heralds=st.integers(2, 3),
+        extra_modes=st.integers(0, 2),
+        r=st.floats(0.3, 1.5),
+        seed=st.integers(0, 2 ** 32 - 1),
+        het=st.booleans(),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+    )
+    def test_random_heralded_mixture_marginals(self, heralds, extra_modes, r, seed, het, u):
+        modes = heralds + extra_modes
+        idlers = list(range(modes + 1, modes + heralds + 1))
+        mixture, _ = herald(paired_source_state(modes, heralds, r), idlers, [1] * heralds)
+        mixture = mixture_apply_interferometer(mixture, haar_unitary(modes, np.random.default_rng(seed)).matrix)
+        density = outcome_density(marginal(mixture, 1), heterodyne() if het else homodyne())
+        u = np.array(u)
+        for axis in (0, 1):
+            sigmas = np.sqrt(density.covs[:, axis, axis])
+            assert _cdf_residual(u, density.weights, density.means[:, axis], sigmas).max() <= CDF_TOL
 
 
 class TestSampling:
@@ -328,6 +419,12 @@ class TestPipelines:
     def test_pipeline_a_squeezing_needs_one_value_per_mode(self):
         with pytest.raises(ValueError, match="squeezing"):
             PipelineConfig(pipeline="A", modes=3, shots=1, seed=1, squeezing=(0.5, 0.5))
+
+    @pytest.mark.parametrize("field", ["homodyne_s", "cdf_tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_bad_measurement_parameter(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            PipelineConfig(pipeline="C", modes=2, shots=1, seed=1, **{field: value})
 
     def test_pipeline_determinism(self):
         config = PipelineConfig(pipeline="B", modes=2, shots=10, seed=11, herald_count=1)

@@ -105,6 +105,20 @@ class TestCliExitCodes:
         save_matrix(np.zeros(shape, dtype=complex), path)
         assert run_cli(command, path) == 3
 
+    @pytest.mark.parametrize("tolerance", ["0", "nan"])
+    def test_non_positive_tolerance_is_format_error(self, tmp_path, tolerance):
+        out = tmp_path / "c.jsonl"
+        argv = ("--seed", 1, "--tolerance", tolerance, "cv", "--pipeline", "C", "--modes", 1, "--shots", 1,
+                "--out", out)
+        assert run_cli(*argv) == 3
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "0"])
+    def test_bad_homodyne_s_is_numerical_error_naming_it(self, tmp_path, capsys, s):
+        out = tmp_path / "c.jsonl"
+        argv = ("--seed", 1, "cv", "--pipeline", "C", "--modes", 1, "--shots", 1, "--homodyne-s", s, "--out", out)
+        assert run_cli(*argv) == 2
+        assert "homodyne_s must be finite and positive" in capsys.readouterr().err
+
     def test_success_is_zero(self, tmp_path):
         path = tmp_path / "kernel.json"
         t = math.tanh(1.0)
