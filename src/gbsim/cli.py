@@ -167,14 +167,7 @@ def cmd_dist(args):
         serialize.save_distribution(dist, args.out)
         _emit({"modes": dist.modes, "normalization_defect": dist.normalization_defect, "out": args.out}, None)
     else:
-        _emit(
-            {
-                "modes": dist.modes,
-                "normalization_defect": dist.normalization_defect,
-                "probabilities": serialize.distribution_to_list(dist),
-            },
-            None,
-        )
+        _emit(serialize.distribution_to_dict(dist), None)
     return EXIT_OK
 
 

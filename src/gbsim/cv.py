@@ -344,8 +344,10 @@ class PipelineConfig:
             raise ValueError("pipeline must be one of A, B, C, D")
         if self.modes < 1 or self.shots < 1:
             raise ValueError("need at least one mode and one shot")
-        if self.herald_count > self.modes:
-            raise ValueError("cannot herald more photons than signal modes")
+        if not 0 <= self.herald_count <= self.modes:
+            raise ValueError(f"herald_count must lie in [0, modes = {self.modes}], got {self.herald_count}")
+        if not math.isfinite(self.herald_squeezing):
+            raise ValueError(f"herald_squeezing must be finite, got {self.herald_squeezing}")
         if self.pipeline == "A" and len(self.squeezing) not in (0, self.modes):
             raise ValueError(f"squeezing needs one value per mode ({self.modes}) or none, got {len(self.squeezing)}")
         for name in ("homodyne_s", "cdf_tolerance"):

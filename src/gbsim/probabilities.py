@@ -7,7 +7,8 @@ distributions equals the total collision probability.
 
 The whole distribution and the collision gaps take Tor(O_(S)) and
 Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S)) for every click set S from one
-power-set engine pass each over the full kernel.
+power-set engine pass each over the full kernel; the higher coefficients
+of the same series give the collision patterns' PNR sums for the L1 distance.
 """
 
 from __future__ import annotations
@@ -320,31 +321,31 @@ def collision_probability(state, photon_cutoff="auto"):
 
     epsilon is computed exactly as sum_S (Tor[O_(S)] - Haf[X O_(S)]) /
     sqrt(det Sigma) over all click patterns. The L1 distance between the
-    PNR and threshold distributions is also accumulated pattern by pattern
-    up to ``photon_cutoff`` ("auto": 8 for l <= 4, skipped above; None:
-    always skipped); it matches epsilon within the reported residual bound.
+    PNR and threshold distributions up to ``photon_cutoff`` total photons
+    ("auto": 8 for l <= 4, skipped above; None: always skipped) comes from
+    the same series pass as the gaps; it matches epsilon within the
+    reported residual bound.
     """
     _require_zero_mean(state)
     if state.modes > COLLISION_MODES:
         raise ValueError(f"collision analysis limited to {COLLISION_MODES} modes")
     if photon_cutoff == "auto":
         photon_cutoff = 8 if state.modes <= 4 else None
+    if photon_cutoff is not None and photon_cutoff < state.modes:
+        raise ValueError("photon cutoff must reach the mode count for the L1 route")
     sigma, kernel, sqdet = state_kernel(state)
     tor = _subset_sums(kernel, _inverse_sqrt_det).tolist()
-    series = _subset_sums(kernel, _eta_series(state.modes))
+    series = _subset_sums(kernel, _eta_series(state.modes if photon_cutoff is None else photon_cutoff))
     gaps = {}
-    threshold = {}
     for mask, clicked in enumerate(_click_patterns(state.modes)):
         haf = float(series[mask, len(clicked)])  # Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S))
         gaps[clicked] = (tor[mask] - haf) / sqdet
-        threshold[clicked] = tor[mask] / sqdet
     epsilon = min(max(math.fsum(gaps.values()), 0.0), 1.0)
     moments = _auto_photon_moments(_effective_squeezings(state))
     bound = 8.0 * moments.second_moment / state.modes
-    l1 = cutoff_used = residual = None
+    l1 = residual = None
     if photon_cutoff is not None:
-        l1, residual = _l1_patternwise(state, kernel, sqdet, threshold, photon_cutoff, moments)
-        cutoff_used = photon_cutoff
+        l1, residual = _l1_patternwise(gaps, series, sqdet, moments, photon_cutoff)
     return CollisionReport(
         modes=state.modes,
         epsilon=epsilon,
@@ -353,26 +354,30 @@ def collision_probability(state, photon_cutoff="auto"):
         mean_photons_sq=moments.second_moment,
         haar_bound=bound,
         l1_patternwise=l1,
-        photon_cutoff=cutoff_used,
+        photon_cutoff=photon_cutoff,
         residual_bound=residual,
     )
 
 
-def _l1_patternwise(state, kernel, sqdet, threshold, cutoff, moments):
-    """Direct pattern-wise sum of |p(S') - p'(S')| over PNR outcomes up to the cutoff."""
-    if cutoff < state.modes:
-        raise ValueError("photon cutoff must reach the mode count for the L1 route")
-    total = 0.0
-    for clicked in _click_patterns(state.modes)[1:]:
-        support = [i - 1 for i in clicked]
-        for n in range(len(clicked), cutoff + 1):
-            for counts in _patterns_with_support(state.modes, support, n):
-                p = _pnr_term(kernel, counts) / sqdet
-                # only the collision-free pattern (n = |S|) has a threshold counterpart
-                total += abs(p - threshold[clicked]) if n == len(clicked) else p
-    # N = 0: the empty PNR pattern and the empty click pattern coincide.
+def _l1_patternwise(gaps, series, sqdet, moments, cutoff):
+    """Sum of |p(s) - p'(s)| / 2 over PNR outcomes s of up to ``cutoff`` photons, and its residual bound.
+
+    ``gaps`` and the rows of ``series`` run over the click sets S in bitmask
+    order; series[S, n] = [eta^n] Tor(eta O_(S)) is the sum of
+    Haf(X O_(s)) / prod(s_k!) over the count vectors s with support S and
+    total n. Only the collision-free outcome (n = |S|) has a threshold
+    counterpart, differing from it by the gap of S; every other outcome
+    enters with its own probability, so only the group sums series[S, n] /
+    sqrt(det Sigma), n = |S|+1..cutoff, are needed. The empty outcome and
+    click pattern coincide.
+    """
+    terms = []
+    for mask, (clicked, gap) in enumerate(gaps.items()):
+        if clicked:
+            terms.append(abs(gap))
+            terms.extend(series[mask, len(clicked) + 1:] / sqdet)
     tail = float(moments.distribution[cutoff + 1:].sum()) + moments.tail_bound
-    return 0.5 * total, 0.5 * tail + 1e-12
+    return 0.5 * math.fsum(terms), 0.5 * tail + 1e-12
 
 
 @dataclass(frozen=True)

@@ -98,20 +98,17 @@ def load_matrix(path):
     return complex_matrix_from_dict(load_json(path))
 
 
-def distribution_to_list(dist):
-    """Sorted list of {"pattern": [...], "p": value} records."""
-    return [{"pattern": list(pattern), "p": float(p)} for pattern, p in dist.items_sorted()]
+def distribution_to_dict(dist):
+    """Distribution record: modes, normalization defect and the sorted {"pattern": [...], "p": value} list."""
+    return {
+        "modes": dist.modes,
+        "normalization_defect": dist.normalization_defect,
+        "probabilities": [{"pattern": list(pattern), "p": float(p)} for pattern, p in dist.items_sorted()],
+    }
 
 
 def save_distribution(dist, path):
-    dump_json(
-        {
-            "modes": dist.modes,
-            "normalization_defect": dist.normalization_defect,
-            "probabilities": distribution_to_list(dist),
-        },
-        path,
-    )
+    dump_json(distribution_to_dict(dist), path)
 
 
 def sample_record_to_dict(record):

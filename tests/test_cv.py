@@ -426,6 +426,21 @@ class TestPipelines:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             PipelineConfig(pipeline="C", modes=2, shots=1, seed=1, **{field: value})
 
+    @pytest.mark.parametrize("count", [-1, 3])
+    def test_config_rejects_herald_count_outside_modes(self, count):
+        with pytest.raises(ValueError, match="herald_count"):
+            PipelineConfig(pipeline="B", modes=2, shots=1, seed=1, herald_count=count)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_herald_squeezing(self, value):
+        with pytest.raises(ValueError, match="herald_squeezing must be finite"):
+            PipelineConfig(pipeline="B", modes=2, shots=1, seed=1, herald_count=1, herald_squeezing=value)
+
+    def test_config_accepts_negative_herald_squeezing(self):
+        config = PipelineConfig(pipeline="B", modes=2, shots=1, seed=1, herald_count=1, herald_squeezing=-0.8)
+        _, meta = simulate_pipeline(config)
+        assert 0 < meta["herald_probability"] < 1
+
     def test_pipeline_determinism(self):
         config = PipelineConfig(pipeline="B", modes=2, shots=10, seed=11, herald_count=1)
         a, _ = simulate_pipeline(config)

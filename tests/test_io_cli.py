@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gbsim import FormatError, squeezed_state, vacuum_state
+from gbsim import FormatError, apply_interferometer, haar_unitary, squeezed_state, vacuum_state
 from gbsim import cli
 from gbsim.cli import main
 from gbsim.gaussian import random_state
@@ -259,6 +259,15 @@ class TestCliCollision:
         assert run_cli("collision", state_path) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["epsilon"] == pytest.approx(1 - 1 / math.cosh(1.0), abs=1e-10)
+
+    def test_l1_route_at_four_modes(self, tmp_path, capsys):
+        state = apply_interferometer(squeezed_state([0.6] * 4), haar_unitary(4, np.random.default_rng(5)))
+        state_path = tmp_path / "haar4.json"
+        save_state(state, state_path)
+        assert run_cli("collision", state_path) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["photon_cutoff"] == 8
+        assert abs(out["l1_patternwise"] - out["epsilon"]) <= out["residual_bound"]
 
 
 class TestCliCv:

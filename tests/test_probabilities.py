@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -236,10 +237,33 @@ class TestCollision:
         assert min(report.gaps.values()) >= -1e-10
 
     def test_l1_identity_within_residual(self, rng):
-        for modes in (2, 3, 4):
+        for modes in (2, 3, 4, 6):
             state = random_state(modes, rng, max_squeezing=0.5)
             report = collision_probability(state, photon_cutoff=8)
             assert abs(report.l1_patternwise - report.epsilon) <= report.residual_bound
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_l1_matches_patternwise_sum(self, rng, modes):
+        # reference: every PNR outcome up to 8 photons, one pnr_prob (one Hafnian) each
+        for state in random_and_haar_states(modes, rng):
+            diffs = []
+            for counts in itertools.product(range(9), repeat=modes):
+                if sum(counts) > 8:
+                    continue
+                p = pnr_prob(state, counts)
+                if max(counts) <= 1:  # collision-free: the threshold distribution's own support
+                    p -= threshold_prob(state, tuple(i + 1 for i, c in enumerate(counts) if c))
+                diffs.append(abs(p))
+            report = collision_probability(state, photon_cutoff=8)
+            assert report.l1_patternwise == pytest.approx(0.5 * math.fsum(diffs), rel=1e-12)
+
+    @pytest.mark.parametrize("modes", [1, 2, 4])
+    def test_cutoff_leaves_gaps_unchanged(self, rng, modes):
+        for state in random_and_haar_states(modes, rng):
+            with_l1 = collision_probability(state, photon_cutoff=8)
+            without = collision_probability(state, photon_cutoff=None)
+            assert with_l1.gaps == without.gaps
+            assert with_l1.epsilon == without.epsilon
 
     @pytest.mark.parametrize("modes", [1, 2, 4, 6])
     def test_gaps_match_threshold_minus_pnr(self, rng, modes):
