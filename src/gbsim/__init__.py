@@ -64,7 +64,7 @@ from .cv import (
     sample_outcomes,
     simulate_pipeline,
 )
-from .torontonian import TorontonianResult, subset_determinant, torontonian, torontonian_series
+from .torontonian import TorontonianResult, torontonian, torontonian_series
 
 __version__ = "0.1.0"
 

@@ -139,6 +139,7 @@ def cmd_tor(args):
             "max_term_magnitude": result.max_term_magnitude,
             "summation": result.summation,
             "cancellation_warning": result.cancellation_warning,
+            "error_estimate": result.error_estimate,
         },
         args.out,
     )

@@ -95,7 +95,7 @@ def hafnian_powerset(A):
         AX = A  # deliberately broken arrangement for the mutation test
     else:
         AX = A[:, list(range(half, n)) + list(range(half))]
-    total, _ = _powerset_sum(AX, half, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])
+    total = _powerset_sum(AX, half, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])[0]
     return complex(-total if _SIGN_FLIP else total)
 
 

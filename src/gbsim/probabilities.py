@@ -33,7 +33,7 @@ from .gaussian import (
     sqrt_det_sigma,
 )
 from .hafnian import hafnian_xo
-from .torontonian import _eta_series, _inverse_sqrt_det, _subset_sums, torontonian
+from .torontonian import _eta_series, _inverse_sqrt_det, _real_form, _subset_sums, torontonian
 
 log = logging.getLogger(__name__)
 
@@ -208,7 +208,7 @@ def distribution(state):
     if state.modes > ENUMERATION_MODES:
         raise ValueError(f"full enumeration limited to {ENUMERATION_MODES} modes")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(kernel, _inverse_sqrt_det).tolist()
+    tor = _subset_sums(_real_form(kernel.matrix), _inverse_sqrt_det).tolist()
     table = {}
     for clicked, value in zip(_click_patterns(state.modes), tor):
         table[clicked] = _clamp_probability(value / sqdet, f"distribution{clicked}")
@@ -334,8 +334,8 @@ def collision_probability(state, photon_cutoff="auto"):
     if photon_cutoff is not None and photon_cutoff < state.modes:
         raise ValueError("photon cutoff must reach the mode count for the L1 route")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(kernel, _inverse_sqrt_det).tolist()
-    series = _subset_sums(kernel, _eta_series(state.modes if photon_cutoff is None else photon_cutoff))
+    tor = _subset_sums(_real_form(kernel.matrix), _inverse_sqrt_det).tolist()
+    series = _subset_sums(kernel.matrix, _eta_series(state.modes if photon_cutoff is None else photon_cutoff))
     gaps = {}
     for mask, clicked in enumerate(_click_patterns(state.modes)):
         haf = float(series[mask, len(clicked)])  # Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S))

@@ -10,12 +10,13 @@ kept subset so that the empty subset contributes (-1)^N; with this
 convention Tor is a probability weight: Tor([[0, t], [t, 0]]) = 1/sqrt(1 - t^2) - 1.
 
 One engine evaluates every signed sum of this shape: the Torontonian
-(batched Cholesky), and both its eta series and the power-set Hafnian in
-``hafnian`` (batched matrix-power traces, then the exp-of-power-sums
-recurrence). It walks the masks in bitmask
-order (mask 0 .. 2^N - 1, bit k = mode k+1) in chunks of 2^CHUNK_BITS,
-groups each chunk by popcount and evaluates every group's stack of
-reduced blocks in one batched call. Each chunk is summed exactly
+(batched real Cholesky of the blocks of ``_real_form(O)``, the real xxpp
+form of 1 - O), and both its eta series and the power-set Hafnian in
+``hafnian`` (batched complex matrix-power traces, then the
+exp-of-power-sums recurrence). It walks the masks in bitmask order
+(mask 0 .. 2^N - 1, bit k = mode k+1) in chunks of 2^CHUNK_BITS, groups
+each chunk by popcount and evaluates every group's stack of reduced
+blocks in one batched call. Each chunk is summed exactly
 (Shewchuk/fsum) and the chunk partials are reduced in index order, so
 every result is bitwise reproducible for any worker-thread count.
 
@@ -51,6 +52,7 @@ class TorontonianResult:
     max_term_magnitude: float
     summation: str
     cancellation_warning: bool
+    error_estimate: float  # 2^-53 sum|terms| / |value|: relative error of one rounding per term
 
     def __float__(self):
         return self.value
@@ -82,7 +84,7 @@ def _chunk_terms(M, modes, start, stop, evaluate):
     ``evaluate`` maps a (B, 2k, 2k) stack of reduced blocks, all of one
     subset size k, to B values of any trailing shape; the empty subset
     arrives as a (B, 0, 0) stack. It raises LinAlgError only when some
-    1 - M_(Z) of the stack is not positive definite.
+    block of the stack is not positive definite.
     """
     masks = np.arange(start, stop, dtype=np.int64)
     sizes = np.bitwise_count(masks)
@@ -131,16 +133,17 @@ def _chunk_size(modes):
 def _powerset_sum(M, modes, evaluate, threads=1):
     """Signed sum of ``evaluate`` over all 2^N reduced blocks of M (see ``_chunk_terms``).
 
-    Returns (sum, largest term magnitude). Each chunk is summed exactly and
-    the chunk partials are reduced in index order, so the sum is bitwise
-    identical for every thread count.
+    Returns (sum, largest term magnitude, sum of term magnitudes). Each
+    chunk is summed exactly and the chunk partials are reduced in index
+    order, so all three are bitwise identical for every thread count.
     """
     total = 1 << modes
     chunk = _chunk_size(modes)
 
     def run(start):
         terms = _chunk_terms(M, modes, start, min(start + chunk, total), evaluate)
-        return _fsum(terms), float(np.abs(terms).max())
+        magnitudes = np.abs(terms)
+        return _fsum(terms), float(magnitudes.max()), magnitudes.sum(axis=0)
 
     starts = range(0, total, chunk)
     if threads > 1 and len(starts) > 1:
@@ -148,20 +151,22 @@ def _powerset_sum(M, modes, evaluate, threads=1):
             partials = list(pool.map(run, starts))
     else:
         partials = [run(s) for s in starts]
-    return _fsum(np.array([p[0] for p in partials])), max(p[1] for p in partials)
+    sums, maxima, magnitudes = zip(*partials)
+    return _fsum(np.array(sums)), max(maxima), _fsum(np.array(magnitudes))
 
 
-def _subset_sums(O, evaluate):
-    """The engine's signed sum for every O_(S), one row per S in bitmask order, from the 2^N terms of O.
+def _subset_sums(M, evaluate):
+    """The engine's signed sum for every M_(S), one row per S in bitmask order, from the 2^N terms of M.
 
-    Row S is (-1)^(N - |S|) times the exact sum of the ``_chunk_terms``
-    terms over the submasks of S: the same blocks, summed exactly, so bit
-    for bit the engine's sum for O_(S) while O_(S) fits one chunk.
+    M is the matrix the engine gathers from: ``_real_form(O)`` for the
+    Torontonian, O itself for the series. Row S is (-1)^(N - |S|) times the
+    exact sum of the ``_chunk_terms`` terms over the submasks of S: the same
+    blocks, summed exactly, so bit for bit the engine's sum for M_(S) while
+    M_(S) fits one chunk.
     """
-    O = _as_matrix(O)
-    modes = O.shape[0] // 2
+    modes = M.shape[0] // 2
     sets = np.arange(1 << modes, dtype=np.int64)
-    terms = _chunk_terms(O, modes, 0, len(sets), evaluate)
+    terms = _chunk_terms(M, modes, 0, len(sets), evaluate)
     sizes = np.bitwise_count(sets)
     sums = np.empty_like(terms)
     for k in range(modes + 1):
@@ -174,11 +179,23 @@ def _subset_sums(O, evaluate):
     return -sums if _SIGN_FLIP else sums
 
 
+def _real_form(O):
+    """Real symmetric xxpp form R of 1 - O = [[A, B], [B*, A*]], the transform under (a_j, a_j*) -> (x_j, p_j).
+
+    R = [[Re A + Re B, Im B - Im A], [Im A + Im B, Re A - Re B]], averaged with its transpose. It is built
+    entrywise by adds, so the form of O_(Z) is R_(Z) bit for bit, and det R_(Z) = det(1 - O_(Z)).
+    """
+    n = O.shape[0] // 2
+    A = np.eye(n) - O[:n, :n]
+    B = -O[:n, n:]
+    R = np.block([[A.real + B.real, B.imag - A.imag], [A.imag + B.imag, A.real - B.real]])
+    return 0.5 * (R + R.T)
+
+
 def _inverse_sqrt_det(blocks):
-    """det(1 - C)^(-1/2) per block, from a batched Cholesky factorisation."""
-    chol = np.linalg.cholesky(np.eye(blocks.shape[-1]) - blocks)
-    logdiag = np.log(np.abs(np.diagonal(chol, axis1=1, axis2=2)))
-    return np.exp(-logdiag.sum(axis=1))
+    """det(1 - O_(Z))^(-1/2) per block R_(Z) of ``_real_form(O)``, by batched real Cholesky (LinAlgError if not PD)."""
+    chol = np.linalg.cholesky(blocks)
+    return np.exp(-np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
 
 
 def _power_traces(blocks, order):
@@ -230,40 +247,21 @@ def torontonian(O, threads=1):
     O = _as_matrix(O)
     modes = O.shape[0] // 2
     if modes == 0:
-        return TorontonianResult(1.0, 1, 1.0, "empty", False)
-    value, max_term = _powerset_sum(O, modes, _inverse_sqrt_det, threads)
+        return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
+    value, max_term, magnitude = _powerset_sum(_real_form(O), modes, _inverse_sqrt_det, threads)
     if _SIGN_FLIP:
         value = -value
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
-    warn = bool(max_term > CANCELLATION_RATIO * max(abs(value), np.finfo(float).tiny))
+    scale = max(abs(value), np.finfo(float).tiny)
     return TorontonianResult(
         value=value,
         terms=1 << modes,
         max_term_magnitude=max_term,
         summation=f"chunked-fsum({_chunk_size(modes)})/ordered-reduce",
-        cancellation_warning=warn,
+        cancellation_warning=bool(max_term > CANCELLATION_RATIO * scale),
+        error_estimate=2.0 ** -53 * magnitude / scale,
     )
-
-
-def subset_determinant(O, subset):
-    """det(1 - O_(Z)) for one kept subset Z of 1-based mode indices."""
-    O = _as_matrix(O)
-    modes = O.shape[0] // 2
-    subset = sorted(int(i) for i in subset)
-    if any(i < 1 or i > modes for i in subset):
-        raise ValueError(f"subset indices must lie in [1, {modes}]")
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset indices must be distinct")
-    if not subset:
-        return 1.0
-    idx = np.array([i - 1 for i in subset] + [i - 1 + modes for i in subset])
-    mat = np.eye(2 * len(subset)) - O[np.ix_(idx, idx)]
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise PhysicalityError(f"1 - O_(Z) is not positive definite for subset Z = {subset}") from None
-    return float(np.prod(np.abs(np.diagonal(chol)) ** 2))
 
 
 def torontonian_series(O, order):
@@ -276,5 +274,5 @@ def torontonian_series(O, order):
     if order < 0:
         raise ValueError("order must be nonnegative")
     O = _as_matrix(O)
-    coeffs, _ = _powerset_sum(O, O.shape[0] // 2, _eta_series(order))
+    coeffs = _powerset_sum(O, O.shape[0] // 2, _eta_series(order))[0]
     return -coeffs if _SIGN_FLIP else coeffs

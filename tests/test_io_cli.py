@@ -142,6 +142,8 @@ class TestCliValues:
         run_cli("tor", path)
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == pytest.approx(math.cosh(1.0) - 1, abs=1e-12)
+        ratio = (math.cosh(1.0) + 1) / (math.cosh(1.0) - 1)
+        assert out["error_estimate"] == pytest.approx(2.0 ** -53 * ratio, rel=1e-12)
 
     def test_haf_all_ones(self, tmp_path, capsys):
         path = tmp_path / "ones.json"

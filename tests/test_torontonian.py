@@ -14,12 +14,12 @@ from gbsim import (
     kernel_matrix,
     reduce_matrix,
     squeezed_state,
-    subset_determinant,
     torontonian,
     torontonian_series,
     vacuum_state,
 )
 from gbsim.gaussian import block_swap, random_state, sqrt_det_sigma
+from gbsim.torontonian import _inverse_sqrt_det, _real_form
 
 
 def kernel_of(state):
@@ -51,6 +51,31 @@ def mp_series_terms(O, order):
                 coeff.append(sum(traces[j - 1] / 2 * coeff[m - j] for j in range(1, m + 1)) / m)
             terms.append((-1) ** (modes - len(kept)) * mpmath.re(coeff[order]))
     return terms
+
+
+def mp_torontonian_terms(O):
+    """Signed subset terms (-1)^(N - |Z|) det(1 - O_(Z))^(-1/2) in 40-digit arithmetic.
+
+    Each determinant is taken by mpmath LU on the complex block 1 - O_(Z),
+    independent of the engine's real form and Cholesky; the terms sum to Tor(O).
+    """
+    modes = O.shape[0] // 2
+    terms = []
+    with mpmath.workdps(40):
+        for mask in range(1 << modes):
+            kept = [i for i in range(modes) if mask >> i & 1]
+            idx = kept + [i + modes for i in kept]
+            det = mpmath.mpf(1)
+            if idx:
+                M = mpmath.matrix([[(a == b) - mpmath.mpc(O[a, b]) for b in idx] for a in idx])
+                det = mpmath.re(mpmath.det(M))
+            terms.append((-1) ** (modes - len(kept)) / mpmath.sqrt(det))
+    return terms
+
+
+def subset_rows(mask, modes):
+    kept = [i for i in range(modes) if mask >> i & 1]
+    return np.array(kept + [i + modes for i in kept], dtype=int)
 
 
 def squeezed_kernel(r):
@@ -105,8 +130,8 @@ class TestTorontonianValues:
     def test_thread_determinism_bitwise(self, rng):
         state = random_state(14, rng, max_squeezing=0.4)
         O = kernel_of(state)
-        values = {torontonian(O, threads=t).value for t in (1, 2, 8)}
-        assert len(values) == 1
+        results = {(r.value, r.error_estimate) for r in (torontonian(O, threads=t) for t in (1, 2, 8))}
+        assert len(results) == 1
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0, 0.3], [0.2, 0]], dtype=complex)
@@ -123,23 +148,61 @@ class TestTorontonianValues:
         assert result.max_term_magnitude >= 1.0
         assert "fsum" in result.summation
         assert result.cancellation_warning is False
+        # terms 1 and -1 + cosh(0.5): Tor = cosh(0.5) - 1, sum|terms| = cosh(0.5) + 1
+        ratio = (math.cosh(0.5) + 1) / (math.cosh(0.5) - 1)
+        assert result.error_estimate == pytest.approx(2.0 ** -53 * ratio, rel=1e-12)
 
 
-class TestSubsetDeterminant:
-    def test_empty_subset(self):
-        assert subset_determinant(squeezed_kernel(1.0), []) == 1.0
+class TestRealForm:
+    def test_empty_block(self):
+        assert _inverse_sqrt_det(np.zeros((1, 0, 0))) == 1.0
 
-    def test_full_subset_vacuum(self):
-        assert subset_determinant(np.zeros((2, 2)), [1]) == pytest.approx(1.0)
+    def test_vacuum_block(self):
+        assert _inverse_sqrt_det(_real_form(np.zeros((2, 2)))[None])[0] == pytest.approx(1.0)
 
-    def test_full_subset_squeezed(self):
-        value = subset_determinant(squeezed_kernel(1.0), [1])
+    def test_squeezed_block(self):
+        value = _inverse_sqrt_det(_real_form(squeezed_kernel(1.0))[None])[0] ** -2
         assert value == pytest.approx(1 - math.tanh(1.0) ** 2, rel=1e-12)
         assert value == pytest.approx(0.419974, abs=5e-7)
 
-    def test_bad_subset(self):
-        with pytest.raises(ValueError):
-            subset_determinant(squeezed_kernel(1.0), [2])
+    def test_symmetric_with_the_subset_determinants(self, rng):
+        for modes in range(1, 7):
+            for _ in range(3):
+                O = kernel_of(random_state(modes, rng)).matrix
+                R = _real_form(O)
+                assert R.dtype == np.float64
+                assert np.array_equal(R, R.T)
+                for mask in range(1, 1 << modes):
+                    idx = subset_rows(mask, modes)
+                    want = np.linalg.det(np.eye(len(idx)) - O[np.ix_(idx, idx)]).real
+                    assert np.linalg.det(R[np.ix_(idx, idx)]) == pytest.approx(want, rel=1e-12)
+
+    def test_reduction_commutes_bitwise(self, rng):
+        for modes in (3, 6, 9):
+            K = kernel_of(random_state(modes, rng)).matrix
+            R = _real_form(K)
+            for mask in range(0, 1 << modes, 5):
+                mult = [mask >> i & 1 for i in range(modes)]
+                idx = subset_rows(mask, modes)
+                assert np.array_equal(_real_form(reduce_matrix(K, mult)), R[np.ix_(idx, idx)])
+
+    def test_torontonian_matches_extended_precision(self):
+        # Collision-free 8-click kernels of a 16-mode Haar state at squeezing 0.3.
+        # The subset sum cancels, so the error is bounded by 2^-53 times the sum
+        # of the absolute terms, which the result reports as its error estimate.
+        rng = np.random.default_rng(1)
+        state = apply_interferometer(squeezed_state([0.3] * 16), haar_unitary(16, rng))
+        K = kernel_of(state).matrix
+        for _ in range(3):
+            counts = np.zeros(16, dtype=int)
+            counts[rng.choice(16, 8, replace=False)] = 1
+            O = reduce_matrix(K, counts)
+            terms = mp_torontonian_terms(O)
+            ref = float(mpmath.fsum(terms))
+            scale = float(mpmath.fsum(abs(t) for t in terms))
+            result = torontonian(O)
+            assert abs(result.value - ref) <= 2.0 ** -53 * scale
+            assert abs(result.value - ref) <= result.error_estimate * abs(result.value)
 
 
 class TestTorontonianSeries:
