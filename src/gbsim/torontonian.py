@@ -51,7 +51,7 @@ class TorontonianResult:
     terms: int
     max_term_magnitude: float
     summation: str
-    cancellation_warning: bool
+    cancellation_warning: bool  # sum|terms| > CANCELLATION_RATIO |value|: error_estimate above about 1e-4
     error_estimate: float  # 2^-53 sum|terms| / |value|: relative error of one rounding per term
 
     def __float__(self):
@@ -67,6 +67,9 @@ def _as_matrix(O):
     scale = max(1.0, np.abs(O).max(initial=0.0))
     if O.size and np.abs(O - O.conj().T).max() > 1e-10 * scale:
         raise PhysicalityError("kernel must be Hermitian")
+    n = O.shape[0] // 2
+    if O.size and np.abs(O[n:] - O[:n, np.r_[n:2 * n, 0:n]].conj()).max() > 1e-10 * scale:
+        raise PhysicalityError("kernel must have the block structure [[A, B], [B*, A*]]")
     return O
 
 
@@ -259,7 +262,7 @@ def torontonian(O, threads=1):
         terms=1 << modes,
         max_term_magnitude=max_term,
         summation=f"chunked-fsum({_chunk_size(modes)})/ordered-reduce",
-        cancellation_warning=bool(max_term > CANCELLATION_RATIO * scale),
+        cancellation_warning=bool(magnitude > CANCELLATION_RATIO * scale),
         error_estimate=2.0 ** -53 * magnitude / scale,
     )
 

@@ -76,6 +76,12 @@ class TestCliExitCodes:
         save_matrix(np.array([[0, 1.5], [1.5, 0]], dtype=complex), bad)
         assert run_cli("tor", bad) == 2
 
+    @pytest.mark.parametrize("entries", [[[0, 0], [0, 2]], [[0.1, 0.3], [0.3, 0.2]]])
+    def test_kernel_without_block_structure_is_numerical_error(self, tmp_path, entries):
+        bad = tmp_path / "kernel.json"
+        save_matrix(np.array(entries, dtype=complex), bad)
+        assert run_cli("tor", bad) == 2
+
     @pytest.mark.parametrize(
         "argv",
         [

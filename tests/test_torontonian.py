@@ -138,6 +138,11 @@ class TestTorontonianValues:
         with pytest.raises(PhysicalityError):
             torontonian(bad)
 
+    @pytest.mark.parametrize("entries", [[[0, 0], [0, 2]], [[0.1, 0.3], [0.3, 0.2]]])
+    def test_hermitian_without_block_structure_rejected(self, entries):
+        with pytest.raises(PhysicalityError, match="block structure"):
+            torontonian(np.array(entries, dtype=complex))
+
     def test_unphysical_kernel_identifies_subset(self):
         bad = np.array([[0, 1.5], [1.5, 0]], dtype=complex)  # radius > 1
         with pytest.raises(PhysicalityError, match=r"Z = \[1\]"):
@@ -151,6 +156,18 @@ class TestTorontonianValues:
         # terms 1 and -1 + cosh(0.5): Tor = cosh(0.5) - 1, sum|terms| = cosh(0.5) + 1
         ratio = (math.cosh(0.5) + 1) / (math.cosh(0.5) - 1)
         assert result.error_estimate == pytest.approx(2.0 ** -53 * ratio, rel=1e-12)
+
+    def test_cancellation_warning_follows_error_estimate(self):
+        # 8 clicks of a 16-mode Haar state at squeezing 0.1: the terms cancel to
+        # about 4e-3 relative error, yet no single term exceeds 1e12 |Tor|.
+        rng = np.random.default_rng(1)
+        state = apply_interferometer(squeezed_state([0.1] * 16), haar_unitary(16, rng))
+        counts = np.zeros(16, dtype=int)
+        counts[rng.choice(16, 8, replace=False)] = 1
+        result = torontonian(reduce_matrix(kernel_of(state).matrix, counts))
+        assert result.error_estimate > 1e-3
+        assert result.max_term_magnitude < 1e12 * abs(result.value)
+        assert result.cancellation_warning is True
 
 
 class TestRealForm:
