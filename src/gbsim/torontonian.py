@@ -65,11 +65,9 @@ def _as_matrix(O):
     if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
         raise ValueError("kernel must be a square 2N x 2N matrix")
     scale = max(1.0, np.abs(O).max(initial=0.0))
-    if O.size and np.abs(O - O.conj().T).max() > 1e-10 * scale:
-        raise PhysicalityError("kernel must be Hermitian")
-    n = O.shape[0] // 2
-    if O.size and np.abs(O[n:] - O[:n, np.r_[n:2 * n, 0:n]].conj()).max() > 1e-10 * scale:
-        raise PhysicalityError("kernel must have the block structure [[A, B], [B*, A*]]")
+    mirrors = (O.conj().T, np.roll(O.conj(), (O.shape[0] // 2,) * 2, axis=(0, 1)))  # O^H and X O* X
+    if O.size and max(np.abs(O - mirror).max() for mirror in mirrors) > 1e-10 * scale:
+        raise PhysicalityError("kernel must be Hermitian with the block structure [[A, B], [B*, A*]]")
     return O
 
 
@@ -103,8 +101,7 @@ def _chunk_terms(M, modes, start, stop, evaluate):
             raise
         if terms is None:
             terms = np.empty((len(masks),) + values.shape[1:], dtype=values.dtype)
-        sign = -1.0 if (modes - k) % 2 else 1.0
-        terms[sel] = sign * values
+        terms[sel] = -values if (modes - k) % 2 else values
     return terms
 
 
@@ -252,8 +249,7 @@ def torontonian(O, threads=1):
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
     value, max_term, magnitude = _powerset_sum(_real_form(O), modes, _inverse_sqrt_det, threads)
-    if _SIGN_FLIP:
-        value = -value
+    value = -value if _SIGN_FLIP else value
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
     scale = max(abs(value), np.finfo(float).tiny)
