@@ -27,7 +27,7 @@ from .gaussian import (
     vacuum_state,
     validate_state,
 )
-from .hafnian import f_coefficient, hafnian_from_torontonian, hafnian_naive, hafnian_powerset, hafnian_xo
+from .hafnian import hafnian_from_torontonian, hafnian_naive, hafnian_powerset, hafnian_xo
 from .probabilities import (
     CollisionReport,
     ThresholdDistribution,
@@ -44,7 +44,6 @@ from .sampler import (
     GaussianMixture,
     SampleRecord,
     chain_rule_probability,
-    condition_no_click,
     herald,
     sample,
     sample_batch,
@@ -60,7 +59,6 @@ from .cv import (
     homodyne,
     marginal,
     outcome_density,
-    sample_outcome,
     sample_outcomes,
     simulate_pipeline,
 )

@@ -263,11 +263,6 @@ def sample_outcomes(density, n, rng, tol=CDF_TOL):
     return np.column_stack([xs, ps])
 
 
-def sample_outcome(density, rng, tol=CDF_TOL):
-    """Draw one exact outcome (x, p) from a density."""
-    return sample_outcomes(density, 1, rng, tol)[0]
-
-
 def backaction(mixture, mode, povm, outcome):
     """Propagate a Gaussian measurement outcome into the remaining modes.
 
@@ -304,7 +299,7 @@ def measure_all_cv(mixture, povm, rng, tol=CDF_TOL):
     for label in _measurement_order(mixture.labels, None):
         single = marginal(mixture, label)
         density = outcome_density(single, povm)
-        outcome = sample_outcome(density, rng, tol)
+        outcome = sample_outcomes(density, 1, rng, tol)[0]
         records.append({"mode": label, "povm": povm.label, "outcome": [float(outcome[0]), float(outcome[1])]})
         if mixture.modes > 1:
             mixture = backaction(mixture, label, povm, outcome)

@@ -106,12 +106,12 @@ def _block_hermitian(M, modes, name):
     n = 2 * modes
     if M.shape != (n, n):
         raise ValueError(f"expected {n} x {n} matrix")
-    scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.conj().T).max() > 1e-10 * scale:
+    scale = max(1.0, np.abs(M).max(initial=0.0))
+    if np.abs(M - M.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise PhysicalityError(f"{name} must be Hermitian")
     X = block_swap(modes)
-    if np.abs(M - X @ M.conj() @ X).max() > 1e-10 * scale:
-        raise PhysicalityError(f"{name} lacks the (alpha, alpha*) block symmetry")
+    if np.abs(M - X @ M.conj() @ X).max(initial=0.0) > 1e-10 * scale:
+        raise PhysicalityError(f"{name} lacks the (alpha, alpha*) block structure [[A, B], [B*, A*]]")
     M = 0.5 * (M + M.conj().T)
     M.setflags(write=False)
     return M
@@ -394,14 +394,6 @@ def reduce_state(state, modes_kept):
     if len(set(kept)) != len(kept) or not kept:
         raise ValueError("kept modes must be a nonempty set")
     idx = np.array([m - 1 for m in kept] + [m - 1 + state.modes for m in kept])
-    return QuadratureState(state.V[np.ix_(idx, idx)], state.r[idx], validate=False)
-
-
-def permute_modes(state, order):
-    """Relabel modes: new mode k is old mode order[k-1] (1-based)."""
-    if sorted(order) != list(range(1, state.modes + 1)):
-        raise ValueError("order must be a permutation of 1..l")
-    idx = np.array([m - 1 for m in order] + [m - 1 + state.modes for m in order])
     return QuadratureState(state.V[np.ix_(idx, idx)], state.r[idx], validate=False)
 
 

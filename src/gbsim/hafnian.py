@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gaussian import KernelMatrix, block_swap
-from .torontonian import _as_matrix, _exp_series, _power_traces, _powerset_sum, torontonian_series
+from .torontonian import _as_kernel, _exp_series, _power_traces, _powerset_sum, torontonian_series
 
 NAIVE_MAX_DIM = 16  # (2m-1)!! growth; oracle scale
 POWERSET_MAX_DIM = 30
@@ -69,21 +69,6 @@ def hafnian_naive(A):
     return complex(rec(tuple(range(n))))
 
 
-def f_coefficient(C, order):
-    """Coefficient of eta^order in det(1 - eta C)^(-1/2).
-
-    Equivalently the order-th coefficient of exp(sum_k Tr(C^k) eta^k / (2k));
-    extending the trace sum beyond ``order`` cannot change it. Traces come
-    from explicit matrix powers.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    C = np.asarray(C, dtype=complex)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("matrix must be square")
-    return complex(_exp_series(_power_traces(C[None], order))[0, order])
-
-
 def hafnian_powerset(A):
     """Hafnian via the power-set trace formula (2^l terms)."""
     A = _check_symmetric(A)
@@ -106,8 +91,8 @@ def hafnian_from_torontonian(O):
     Torontonian equals the Hafnian of X O, which must be real for kernels
     of physical states.
     """
-    modes = _as_matrix(O).shape[0] // 2
-    return float(torontonian_series(O, modes)[modes])
+    O = _as_kernel(O)
+    return float(torontonian_series(O, O.modes)[O.modes])
 
 
 def hafnian_xo(O):

@@ -11,8 +11,7 @@ one Gaussian-conditioning step, ``_condition``, updates each branch in
 turn, so the per-sample cost follows the branch count directly (one Schur
 complement per branch per mode); ``cv.backaction`` shares it. The one
 threshold step, ``_advance``, calls it; ``step`` and ``sample_mixture``
-draw its outcome by one coin rule, ``herald`` and ``condition_no_click``
-force it.
+draw its outcome by one coin rule; ``herald`` forces it.
 
 The per-mode no-click weight of a branch with block ``V_B`` and mean
 ``r_B`` is the vacuum overlap, twice the heterodyne factor at outcome 0:
@@ -208,24 +207,6 @@ def _advance(mixture, label, outcome):
     )
 
 
-def condition_no_click(state, mode):
-    """Vacuum-project one mode of a Gaussian state or of a whole mixture.
-
-    Returns (q, conditioned state on the remaining modes) where q is the
-    no-click probability of that mode. The conditioned state has the type
-    of the input (a ``QuadratureState`` or a ``GaussianMixture``) and is
-    None when no modes remain.
-    """
-    single = isinstance(state, QuadratureState)
-    mixture = GaussianMixture.from_state(state) if single else state
-    q, conditioned = _advance(mixture, mode, 0)
-    if conditioned.modes == 0:
-        return q, None
-    if single:
-        return q, QuadratureState(conditioned.covs[0], conditioned.means[0], validate=False)
-    return q, conditioned
-
-
 def step(mixture, mode, rng):
     """Measure one mode of a mixture with a threshold detector.
 
@@ -237,27 +218,6 @@ def step(mixture, mode, rng):
         mixture = GaussianMixture.from_state(mixture)
     _, new = _advance(mixture, mode, _coin(rng))
     return new.history[-1][1], new
-
-
-def prune(mixture, threshold):
-    """Drop branches with |weight| below ``threshold`` and renormalize.
-
-    Approximate: the result is no longer an exact representation of the
-    conditional state. Exploration tool only.
-    """
-    keep = np.abs(mixture.weights) >= threshold
-    if keep.all():
-        return mixture
-    if not keep.any():
-        raise NumericalError("pruning removed every branch")
-    weights = mixture.weights[keep]
-    return GaussianMixture(
-        labels=mixture.labels,
-        weights=weights / weights.sum(),
-        covs=mixture.covs[keep],
-        means=mixture.means[keep],
-        history=mixture.history,
-    )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,8 @@ def load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc})") from exc
 
 
 def state_to_dict(state):
@@ -48,6 +50,8 @@ def state_to_dict(state):
 
 
 def state_from_dict(data):
+    if not isinstance(data, dict):
+        raise FormatError(f"malformed state record: expected a JSON object, got {type(data).__name__}")
     try:
         if data.get("hbar", HBAR_TAG) != HBAR_TAG:
             raise FormatError(f"unsupported hbar convention {data['hbar']!r}; this package uses hbar = 2")
@@ -111,17 +115,12 @@ def save_distribution(dist, path):
     dump_json(distribution_to_dict(dist), path)
 
 
-def sample_record_to_dict(record):
-    out = {"pattern": list(record.pattern.clicked)}
-    if record.seed is not None:
-        out["seed"] = int(record.seed)
-    if record.substream is not None:
-        out["substream"] = int(record.substream)
-    return out
-
-
 def _sample_row(record, trace):
-    row = sample_record_to_dict(record)
+    row = {"pattern": list(record.pattern.clicked)}
+    if record.seed is not None:
+        row["seed"] = int(record.seed)
+    if record.substream is not None:
+        row["substream"] = int(record.substream)
     if trace:
         row["noclick_probs"] = [float(p) for p in record.noclick_probs]
         row["branch_counts"] = list(record.branch_counts)

@@ -58,17 +58,14 @@ class TorontonianResult:
         return self.value
 
 
-def _as_matrix(O):
+def _as_kernel(O):
+    """O as a KernelMatrix: arrays must be square with even dimension, then pass the kernel's checks."""
     if isinstance(O, KernelMatrix):
-        return np.asarray(O.matrix)
+        return O
     O = np.asarray(O, dtype=complex)
     if O.ndim != 2 or O.shape[0] != O.shape[1] or O.shape[0] % 2:
         raise ValueError("kernel must be a square 2N x 2N matrix")
-    scale = max(1.0, np.abs(O).max(initial=0.0))
-    mirrors = (O.conj().T, np.roll(O.conj(), (O.shape[0] // 2,) * 2, axis=(0, 1)))  # O^H and X O* X
-    if O.size and max(np.abs(O - mirror).max() for mirror in mirrors) > 1e-10 * scale:
-        raise PhysicalityError("kernel must be Hermitian with the block structure [[A, B], [B*, A*]]")
-    return O
+    return KernelMatrix(O.shape[0] // 2, O)
 
 
 def _subset_indices(masks, modes):
@@ -244,11 +241,11 @@ def torontonian(O, threads=1):
     -------
     TorontonianResult
     """
-    O = _as_matrix(O)
-    modes = O.shape[0] // 2
+    O = _as_kernel(O)
+    modes = O.modes
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
-    value, max_term, magnitude = _powerset_sum(_real_form(O), modes, _inverse_sqrt_det, threads)
+    value, max_term, magnitude = _powerset_sum(_real_form(O.matrix), modes, _inverse_sqrt_det, threads)
     value = -value if _SIGN_FLIP else value
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
@@ -272,6 +269,6 @@ def torontonian_series(O, order):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    O = _as_matrix(O)
-    coeffs = _powerset_sum(O, O.shape[0] // 2, _eta_series(order))[0]
+    O = _as_kernel(O)
+    coeffs = _powerset_sum(O.matrix, O.modes, _eta_series(order))[0]
     return -coeffs if _SIGN_FLIP else coeffs

@@ -14,13 +14,11 @@ from gbsim import (
     PipelineConfig,
     QuadratureState,
     backaction,
-    condition_no_click,
     herald,
     heterodyne,
     homodyne,
     marginal,
     outcome_density,
-    sample_outcome,
     sample_outcomes,
     simulate_pipeline,
     vacuum_state,
@@ -267,8 +265,8 @@ class TestSampling:
 
     def test_single_outcome_deterministic(self):
         density = outcome_density(marginal(GaussianMixture.from_state(vacuum_state(1)), 1), heterodyne())
-        a = sample_outcome(density, np.random.default_rng(5))
-        b = sample_outcome(density, np.random.default_rng(5))
+        a = sample_outcomes(density, 1, np.random.default_rng(5))[0]
+        b = sample_outcomes(density, 1, np.random.default_rng(5))[0]
         assert np.array_equal(a, b)
 
     def test_inverse_cdf_tolerance(self):
@@ -291,7 +289,7 @@ class TestBackaction:
         state = QuadratureState(base.V, rng.normal(0.0, 0.7, 12))
         mixture, _ = herald(state, [6, 5], [1, 1])
         assert mixture.branch_count == 4
-        q, projected = condition_no_click(mixture, 2)
+        projected, q = herald(mixture, [2], [0])
         density = outcome_density(marginal(mixture, 2), heterodyne())
         assert q == pytest.approx(4 * math.pi * density.pdf([0.0, 0.0])[0], rel=1e-12)
         measured = backaction(mixture, 2, heterodyne(), [0.0, 0.0])

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gbsim
 from gbsim import FormatError, apply_interferometer, haar_unitary, squeezed_state, vacuum_state
 from gbsim import cli
 from gbsim.cli import main
@@ -57,6 +58,11 @@ class TestSerialization:
         with pytest.raises(FormatError):
             state_from_dict({"modes": 2, "V": [[1.0]], "r": [0.0]})
 
+    @pytest.mark.parametrize("data", [[1, 2], "x", None])
+    def test_non_object_record_rejected(self, data):
+        with pytest.raises(FormatError, match="JSON object"):
+            state_from_dict(data)
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -70,6 +76,17 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("tor", bad) == 3
+
+    def test_non_object_state_is_format_error(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert run_cli("prob", bad, "--pattern", "1") == 3
+
+    @pytest.mark.parametrize("argv", [("tor", "{path}"), ("prob", "{path}", "--pattern", "1")])
+    def test_non_utf8_file_is_format_error(self, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert run_cli(*(a.format(path=bad) for a in argv)) == 3
 
     def test_unphysical_kernel_is_numerical_error(self, tmp_path):
         bad = tmp_path / "kernel.json"
@@ -367,6 +384,22 @@ class TestCliSeed:
 
 
 class TestCliImport:
+    def test_public_api(self):
+        # one entry point per job: a new public wrapper shows up here
+        assert sorted(gbsim.__all__) == [
+            "ClickPattern", "CollisionReport", "ComplexUnitary", "FormatError", "GaussianMixture", "GaussianPOVM",
+            "GbsimError", "HBAR", "HusimiCovariance", "KernelMatrix", "NumericalError", "OutcomeDensity", "PNRPattern",
+            "PhysicalityError", "PipelineConfig", "QuadratureState", "SampleRecord", "ThresholdDistribution",
+            "TorontonianResult", "apply_interferometer", "backaction", "chain_rule_probability",
+            "collision_probability", "cv", "distribution", "errors", "gaussian", "haar_collision_experiment",
+            "haar_unitary", "hafnian", "hafnian_from_torontonian", "hafnian_naive", "hafnian_powerset", "hafnian_xo",
+            "herald", "heterodyne", "homodyne", "husimi_covariance", "kernel_matrix", "marginal", "outcome_density",
+            "photon_moments", "pnr_prob", "probabilities", "q_function", "quadrature_covariance", "reduce_matrix",
+            "reduce_state", "sample", "sample_batch", "sample_outcomes", "sampler", "simulate_pipeline",
+            "squeezed_state", "step", "substream_id", "threshold_prob", "threshold_prob_oracle", "tor_as_hafnian_sum",
+            "torontonian", "torontonian_series", "vacuum_state", "validate_state",
+        ]
+
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs most of a CLI call's start-up; only cold paths import it, lazily
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -8,7 +8,6 @@ from gbsim import (
     NumericalError,
     QuadratureState,
     chain_rule_probability,
-    condition_no_click,
     distribution,
     herald,
     q_function,
@@ -23,33 +22,34 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.gaussian import random_state
-from gbsim.sampler import prune, sample_mixture
+from gbsim.sampler import sample_mixture
 
 from conftest import tmsv
 
 
 class TestConditionNoClick:
+    # a forced no-click is herald(state, [mode], [0]): (conditioned mixture, no-click probability)
     def test_vacuum(self):
-        q, rest = condition_no_click(vacuum_state(2), 2)
+        rest, q = herald(vacuum_state(2), [2], [0])
         assert q == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(rest.V, np.eye(2))
+        assert np.allclose(rest.covs[0], np.eye(2))
 
     def test_thermal(self):
         nbar = 0.8
         V = np.diag([2 * nbar + 1] * 4)
-        q, _ = condition_no_click(QuadratureState(V), 1)
+        _, q = herald(QuadratureState(V), [1], [0])
         assert q == pytest.approx(1 / (nbar + 1), rel=1e-12)
 
     def test_squeezed(self):
         r = 1.0
-        q, _ = condition_no_click(squeezed_state([r, 0.0]), 1)
+        _, q = herald(squeezed_state([r, 0.0]), [1], [0])
         assert q == pytest.approx(1 / math.cosh(r), rel=1e-12)
 
     def test_displaced_vacuum_matches_q_function(self):
         # vacuum overlap of a displaced vacuum: pi^l Q(0) is the oracle
         x, p = 0.9, -1.4
         state = QuadratureState(np.eye(2), np.array([x, p]))
-        q, _rest = condition_no_click(GaussianMixture.from_state(state), 1)
+        _rest, q = herald(GaussianMixture.from_state(state), [1], [0])
         alpha = (x + 1j * p) / 2
         sigma = husimi_covariance(vacuum_state(1))
         oracle = math.pi * q_function(sigma, np.array([alpha, np.conj(alpha)]))
@@ -60,7 +60,7 @@ class TestConditionNoClick:
         # q is the no-click probability of the whole signed mixture, not of branch 0
         state = random_state(5, np.random.default_rng(1))
         mixture, p_clicks = herald(state, [5, 4], [1, 1])
-        q, rest = condition_no_click(mixture, 3)
+        rest, q = herald(mixture, [3], [0])
         assert q == pytest.approx(herald(state, [5, 4, 3], [1, 1, 0])[1] / p_clicks, rel=0, abs=1e-12)
         assert isinstance(rest, GaussianMixture)
         assert rest.branch_count == 4
@@ -271,19 +271,6 @@ class TestHerald:
         # an extra bit must not be dropped, nor a 2 taken as a click or a -1 as a no-click
         with pytest.raises(ValueError, match="one outcome, 0 or 1"):
             herald(squeezed_state([0.5, 0.7, 0.9]), [1, 2], outcomes)
-
-
-class TestPrune:
-    def test_prune_is_approximate_but_normalized(self, rng):
-        state = random_state(3, rng, max_squeezing=0.9)
-        mixture, _ = herald(state, [3, 2], [1, 1])
-        pruned = prune(mixture, threshold=abs(mixture.weights).min() * 1.01)
-        assert pruned.branch_count < mixture.branch_count
-        assert abs(pruned.weights.sum() - 1.0) < 1e-9
-
-    def test_prune_keeps_everything_below_threshold(self, rng):
-        mixture = GaussianMixture.from_state(vacuum_state(1))
-        assert prune(mixture, 1e-6) is mixture
 
 
 class TestMeasurementOrderEmpirical:
