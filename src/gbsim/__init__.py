@@ -6,6 +6,8 @@ over signed Gaussian mixtures, and homodyne/heterodyne measurements on
 those mixtures.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import FormatError, GbsimError, NumericalError, PhysicalityError
 from .gaussian import (
     HBAR,
@@ -66,4 +68,4 @@ from .torontonian import TorontonianResult, torontonian, torontonian_series
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]

@@ -4,11 +4,13 @@ Outcomes live in the quadrature plane (x, p) with hbar = 2; a heterodyne
 outcome relates to the coherent amplitude by alpha = (x + i p) / 2. Each
 branch contributes a genuine 2D Gaussian with classical covariance
 V_B + W, so the signed mixture density integrates to one by construction
-(weights sum to one); pointwise nonnegativity is probed numerically when a
-density is built, on a scrambled Halton point set that is built once per
-process on the unit square and scaled to each density's box: the branch
-means +- 6 sigma, each axis by its own largest branch variance, so a
-homodyne density's x range does not take the width of its p range.
+(weights sum to one; a density takes the mixture's array and 2x2 checks,
+``sampler._set_mixture_arrays`` and ``_positive_definite_dets``); pointwise
+nonnegativity is probed numerically when a density is built, on a
+scrambled Halton point set that is built once per process on the unit
+square and scaled to each density's box: the branch means +- 6 sigma, each
+axis by its own largest branch variance, so a homodyne density's x range
+does not take the width of its p range.
 
 Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
 both closed-form error-function mixtures, by Newton steps on the
@@ -35,6 +37,8 @@ from .sampler import (
     _condition,
     _measurement_order,
     _mode_position,
+    _positive_definite_dets,
+    _set_mixture_arrays,
     _substream_rng,
     herald,
     mixture_apply_interferometer,
@@ -124,21 +128,8 @@ class OutcomeDensity:
     povm: GaussianPOVM
 
     def __post_init__(self):
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        covs = np.asarray(self.covs, dtype=float).reshape(len(weights), 2, 2)
-        means = np.asarray(self.means, dtype=float).reshape(len(weights), 2)
-        if not all(np.isfinite(arr).all() for arr in (weights, covs, means)):
-            raise ValueError("density weights, covariances and means must be finite")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise NumericalError("density weights must sum to 1")
-        dets = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
-        if np.any(dets <= 0) or np.any(covs[:, 0, 0] <= 0):
-            raise NumericalError("component covariance is not positive definite")
-        for arr in (weights, covs, means):
-            arr.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "means", means)
+        _set_mixture_arrays(self, 2)
+        _positive_definite_dets(self.covs)
         self._probe_negativity()
 
     def _probe_negativity(self):
@@ -154,10 +145,8 @@ class OutcomeDensity:
         """Density at an (n, 2) array of outcome points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         x, p = points[:, 0], points[:, 1]
-        a = self.covs[:, 0, 0]
-        b = self.covs[:, 0, 1]
-        d = self.covs[:, 1, 1]
-        det = a * d - b * b
+        a, b, d = self.covs[:, 0, 0], self.covs[:, 0, 1], self.covs[:, 1, 1]
+        det = _positive_definite_dets(self.covs)
         norm = 2 * math.pi * np.sqrt(det)
         comps = np.empty((len(points), len(self.weights)))
         for k, (mx, mp) in enumerate(self.means):

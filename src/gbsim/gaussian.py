@@ -13,12 +13,15 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PhysicalityError
+from .errors import NumericalError, PhysicalityError
+
+log = logging.getLogger(__name__)
 
 HBAR = 2.0
 
@@ -26,6 +29,7 @@ SYMMETRY_RTOL = 1e-12
 PHYSICALITY_TOL = 1e-10
 CONDITION_WARN = 1e8
 CONDITION_LIMIT = 1e14
+CLAMP_TOL = 1e-10
 
 
 def symplectic_form(modes):
@@ -174,6 +178,24 @@ class ClickPattern:
         return len(self.clicked)
 
 
+def _as_click_pattern(state, pattern):
+    """``pattern`` (a ClickPattern or clicked 1-based modes) as a ClickPattern over the state's modes."""
+    if isinstance(pattern, ClickPattern):
+        if pattern.modes != state.modes:
+            raise ValueError("pattern mode count does not match the state")
+        return pattern
+    return ClickPattern(state.modes, tuple(pattern))
+
+
+def _clamp_probability(p, where):
+    """``p`` clipped to [0, 1]; raises beyond CLAMP_TOL, logs a warning when it clips."""
+    if p < -CLAMP_TOL or p > 1 + CLAMP_TOL:
+        raise NumericalError(f"{where}: probability {p!r} outside [0, 1] beyond tolerance")
+    if p < 0 or p > 1:
+        log.warning("%s: clamped probability %.3e to [0, 1]", where, p)
+    return min(max(p, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class PNRPattern:
     """Photon-number outcome: count per mode (index k appears counts[k-1] times)."""
@@ -249,13 +271,18 @@ def interferometer_symplectic(U):
     return np.block([[U.real, -U.imag], [U.imag, U.real]])
 
 
-def apply_interferometer(state, unitary):
-    """Evolve a state through a linear interferometer: V -> S V S^T, r -> S r."""
+def _checked_symplectic(unitary, modes):
+    """``interferometer_symplectic`` of ``unitary``, checked to be an l x l unitary with l = ``modes``."""
     if not isinstance(unitary, ComplexUnitary):
         unitary = ComplexUnitary(unitary)
-    if unitary.dimension != state.modes:
-        raise ValueError(f"unitary acts on {unitary.dimension} modes, state has {state.modes}")
-    S = interferometer_symplectic(unitary.matrix)
+    if unitary.dimension != modes:
+        raise ValueError(f"unitary acts on {unitary.dimension} modes, state has {modes}")
+    return interferometer_symplectic(unitary.matrix)
+
+
+def apply_interferometer(state, unitary):
+    """Evolve a state through a linear interferometer: V -> S V S^T, r -> S r."""
+    S = _checked_symplectic(unitary, state.modes)
     return QuadratureState(S @ state.V @ S.T, S @ state.r, validate=False)
 
 
@@ -345,10 +372,6 @@ class StateDiagnostics:
     condition_sigma: float
     physical: bool
     warnings: tuple
-
-    @property
-    def passed(self):
-        return self.physical
 
 
 def validate_state(state_or_v, r=None):

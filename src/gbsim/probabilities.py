@@ -14,7 +14,6 @@ of the same series give the collision patterns' PNR sums for the L1 distance.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,11 @@ import numpy as np
 
 from .errors import NumericalError
 from .gaussian import (
+    CLAMP_TOL,
     ClickPattern,
     PNRPattern,
+    _as_click_pattern,
+    _clamp_probability,
     apply_interferometer,
     haar_unitary,
     husimi_covariance,
@@ -35,9 +37,6 @@ from .gaussian import (
 from .hafnian import hafnian_xo
 from .torontonian import _eta_series, _inverse_sqrt_det, _real_form, _subset_sums, torontonian
 
-log = logging.getLogger(__name__)
-
-CLAMP_TOL = 1e-10
 ENUMERATION_MODES = 12
 COLLISION_MODES = 10
 PURITY_TOL = 1e-8
@@ -46,22 +45,6 @@ PURITY_TOL = 1e-8
 def _require_zero_mean(state):
     if np.abs(state.r).max(initial=0.0) > 1e-12:
         raise ValueError("probability formulas require a zero-mean state")
-
-
-def _as_click_pattern(state, pattern):
-    if isinstance(pattern, ClickPattern):
-        if pattern.modes != state.modes:
-            raise ValueError("pattern mode count does not match the state")
-        return pattern
-    return ClickPattern(state.modes, tuple(pattern))
-
-
-def _clamp_probability(p, where):
-    if p < -CLAMP_TOL or p > 1 + CLAMP_TOL:
-        raise NumericalError(f"{where}: probability {p!r} outside [0, 1] beyond tolerance")
-    if p < 0 or p > 1:
-        log.warning("%s: clamped probability %.3e to [0, 1]", where, p)
-    return min(max(p, 0.0), 1.0)
 
 
 def state_kernel(state):
@@ -417,13 +400,3 @@ def haar_collision_experiment(modes, r_vec, trials, rng):
     if mean > bound + 1e-12:
         raise NumericalError(f"sample mean collision probability {mean:.6g} exceeds the bound {bound:.6g}")
     return HaarCollisionResult(modes, trials, mean, stderr, bound, tuple(eps.tolist()))
-
-
-def haar_bound_confidence(result, confidence=0.95):
-    """One-sided upper confidence limit for the mean collision probability."""
-    if result.trials < 2:
-        return result.mean_epsilon
-    from scipy import stats  # imported here: slow to load, and only this call needs it
-
-    tval = stats.t.ppf(confidence, result.trials - 1)
-    return result.mean_epsilon + tval * result.stderr

@@ -27,10 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .gaussian import ClickPattern, QuadratureState, interferometer_symplectic
+from .gaussian import ClickPattern, QuadratureState, _as_click_pattern, _checked_symplectic, _clamp_probability
 
 WEIGHT_TOL = 1e-9
-PROB_CLAMP = 1e-10
 MIN_EVENT_PROB = 1e-300
 _VACUUM_W = np.eye(2)  # vacuum projection is a heterodyne at outcome 0
 
@@ -55,13 +54,42 @@ def _substream_rng(seed, index):
     return np.random.Generator(np.random.PCG64(substream_id(seed, index)))
 
 
+def _set_mixture_arrays(obj, dim):
+    """Freeze a frozen dataclass's ``weights``, ``covs``, ``means`` as checked float stacks of B branches.
+
+    Entries must be finite and the weights sum to one within WEIGHT_TOL
+    max(1, sum |w|): roundoff scales with the cancelling signed weights.
+    """
+    weights = np.atleast_1d(np.asarray(obj.weights, dtype=float))
+    covs = np.asarray(obj.covs, dtype=float).reshape(len(weights), dim, dim)
+    means = np.asarray(obj.means, dtype=float).reshape(len(weights), dim)
+    scale = math.fsum(np.abs(weights))  # finite exactly when every weight is
+    if not (math.isfinite(scale) and np.isfinite(covs).all() and np.isfinite(means).all()):
+        raise ValueError("mixture weights, covariances and means must be finite")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > WEIGHT_TOL * max(1.0, scale):
+        raise NumericalError(f"mixture weights sum to {total!r}, expected 1")
+    for name, arr in (("weights", weights), ("covs", covs), ("means", means)):
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def _positive_definite_dets(blocks):
+    """Determinants of a (B, 2, 2) stack of symmetric blocks ``V_B + W``, each checked positive definite."""
+    a = blocks[:, 0, 0]
+    dets = a * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 0, 1]
+    if not (a.min() > 0 and dets.min() > 0):  # a NaN minimum fails too
+        raise NumericalError("V_B + W is not positive definite; the mixture is corrupted")
+    return dets
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Signed mixture of Gaussian states on the not-yet-measured modes.
 
     ``labels`` keeps the original 1-based mode indices; ``history`` records
-    (label, outcome) pairs in measurement order. Structural invariants
-    (weight sum, branch-count bound) are enforced on construction; the
+    (label, outcome) pairs in measurement order. Finite arrays, the weight
+    sum and the branch-count bound are enforced on construction; the
     per-branch uncertainty-relation check is available via ``validate()``.
     """
 
@@ -72,23 +100,10 @@ class GaussianMixture:
     history: tuple = ()
 
     def __post_init__(self):
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        m = len(self.labels)
-        covs = np.asarray(self.covs, dtype=float).reshape(len(weights), 2 * m, 2 * m)
-        means = np.asarray(self.means, dtype=float).reshape(len(weights), 2 * m)
-        total = math.fsum(weights)
-        # roundoff scales with the cancelling signed-weight magnitudes
-        scale = max(1.0, math.fsum(abs(w) for w in weights))
-        if abs(total - 1.0) > WEIGHT_TOL * scale:
-            raise NumericalError(f"mixture weights sum to {total!r}, expected 1")
+        _set_mixture_arrays(self, 2 * len(self.labels))
         clicks = sum(outcome for _, outcome in self.history)
-        if len(weights) > 2 ** clicks:
-            raise NumericalError(f"{len(weights)} branches exceed 2^{clicks} after {clicks} clicks")
-        for arr in (weights, covs, means):
-            arr.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "means", means)
+        if len(self.weights) > 2 ** clicks:
+            raise NumericalError(f"{len(self.weights)} branches exceed 2^{clicks} after {clicks} clicks")
 
     @classmethod
     def from_state(cls, state):
@@ -139,10 +154,11 @@ def _condition(covs, means, pos, W, y):
 
     plus the marginal (``V_A``, ``r_A``) and the conditioned covariance and
     mean of the other modes, as ``(g, marg_cov, marg_mean, cond_cov,
-    cond_mean)``. The blocks are gathered for the whole stack at once; the
-    2x2 inverse, g and the update then run branch by branch in a plain loop,
-    which keeps the per-sample cost proportional to the branch count (the
-    2^clicks law) and the summation order fixed.
+    cond_mean)``. The blocks are gathered and every ``V_B + W`` checked by
+    ``_positive_definite_dets`` for the whole stack at once; the 2x2 inverse,
+    g and the update then run branch by branch in a plain loop, which keeps
+    the per-sample cost proportional to the branch count (the 2^clicks law)
+    and the summation order fixed.
     """
     m = covs.shape[-1] // 2
     bidx = np.array([pos, pos + m])
@@ -152,16 +168,14 @@ def _condition(covs, means, pos, W, y):
     VAB = covs[:, aidx[:, None], bidx]
     rA = means[:, aidx]
     diff = y - means[:, bidx]
+    dets = _positive_definite_dets(VB)
     g = np.empty(len(covs))
     cond_cov = np.empty_like(VA)
     cond_mean = np.empty_like(rA)
     for k in range(len(covs)):
         a, b, d = VB[k, 0, 0], VB[k, 0, 1], VB[k, 1, 1]
-        det = a * d - b * b
-        if det <= 0:
-            raise NumericalError("V_B + W is not positive definite; the mixture is corrupted")
-        inv = np.array([[d, -b], [-b, a]]) / det
-        g[k] = math.exp(-0.5 * float(diff[k] @ inv @ diff[k])) / math.sqrt(det)
+        inv = np.array([[d, -b], [-b, a]]) / dets[k]
+        g[k] = math.exp(-0.5 * float(diff[k] @ inv @ diff[k])) / math.sqrt(dets[k])
         gain = VAB[k] @ inv
         cond_cov[k] = VA[k] - gain @ VAB[k].T
         cond_mean[k] = rA[k] + gain @ diff[k]
@@ -182,10 +196,7 @@ def _advance(mixture, label, outcome):
     pos = _mode_position(mixture, label)
     g, marg_cov, marg_mean, cond_cov, cond_mean = _condition(mixture.covs, mixture.means, pos, _VACUUM_W, 0.0)
     q = 2.0 * g
-    p = float(mixture.weights @ q)
-    if p < -PROB_CLAMP or p > 1 + PROB_CLAMP:
-        raise NumericalError(f"no-click probability {p!r} outside [0, 1] beyond tolerance")
-    p = min(max(p, 0.0), 1.0)
+    p = _clamp_probability(float(mixture.weights @ q), f"no-click on mode {label}")
     if callable(outcome):
         outcome = outcome(p)
     if outcome == 0:
@@ -317,13 +328,7 @@ def herald(state, measured, outcomes, order=None):
 
 def mixture_apply_interferometer(mixture, unitary):
     """Apply a linear interferometer to every branch of a mixture."""
-    from .gaussian import ComplexUnitary
-
-    if not isinstance(unitary, ComplexUnitary):
-        unitary = ComplexUnitary(unitary)
-    if unitary.dimension != mixture.modes:
-        raise ValueError("unitary dimension does not match the mixture")
-    S = interferometer_symplectic(unitary.matrix)
+    S = _checked_symplectic(unitary, mixture.modes)
     return GaussianMixture(
         labels=mixture.labels,
         weights=mixture.weights,
@@ -339,7 +344,5 @@ def chain_rule_probability(state, pattern, order=None):
     Equals the Torontonian-based threshold probability; used as the
     chain-rule consistency check.
     """
-    pattern = pattern if isinstance(pattern, ClickPattern) else ClickPattern(state.modes, tuple(pattern))
-    modes = range(1, state.modes + 1)
-    outcomes = [1 if (m in pattern.clicked) else 0 for m in modes]
-    return herald(state, modes, outcomes, order=order)[1]
+    outcomes = _as_click_pattern(state, pattern).multiplicities
+    return herald(state, range(1, state.modes + 1), outcomes, order=order)[1]

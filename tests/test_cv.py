@@ -176,8 +176,25 @@ class TestOutcomeDensity:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            OutcomeDensity(weights=[1.0], covs=[np.eye(2)], means=[[bad, 0.0]], povm=heterodyne())
+        # the mixture and the density share one array check
+        arrays = {"weights": [1.0], "covs": [np.eye(2)], "means": [[0.0, 0.0]]}
+        for field, value in (("weights", [bad]), ("covs", [[[bad, 0.0], [0.0, 1.0]]]), ("means", [[bad, 0.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                OutcomeDensity(**{**arrays, field: value}, povm=heterodyne())
+            with pytest.raises(ValueError, match="finite"):
+                GaussianMixture(labels=(1,), **{**arrays, field: value})
+
+    def test_cancelling_weights_take_the_mixture_rule(self):
+        # fsum is off by 2^-23 = 1.2e-7, inside 1e-9 * sum|w| = 2.0; an unscaled 1e-9 rejected it
+        mixture = GaussianMixture(
+            labels=(1,),
+            weights=[1e9, 1 - 1e9 + 2 ** -23],
+            covs=[np.eye(2), np.eye(2)],
+            means=np.zeros((2, 2)),
+            history=((2, 1),),
+        )
+        density = outcome_density(mixture, heterodyne())
+        assert np.array_equal(density.weights, mixture.weights)
 
     def test_negative_signed_density_rejected(self):
         # 2 N(0, I) - N(0, I / 4) has pdf -1/pi at its mean

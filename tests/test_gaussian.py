@@ -35,7 +35,7 @@ class TestVacuum:
         assert np.array_equal(vacuum_state(3).V, np.eye(6))
 
     def test_passes_validation(self):
-        assert validate_state(vacuum_state(2)).passed
+        assert validate_state(vacuum_state(2)).physical
 
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
@@ -254,15 +254,15 @@ class TestQFunction:
 class TestValidateState:
     def test_vacuum_passes(self):
         diag = validate_state(vacuum_state(1))
-        assert diag.passed and not diag.warnings
+        assert diag.physical and not diag.warnings
 
     def test_below_vacuum_noise_flagged(self):
         diag = validate_state(np.diag([0.5, 0.5]))
-        assert not diag.passed
+        assert not diag.physical
 
     def test_strong_squeezing_condition_warning(self):
         diag = validate_state(squeezed_state([5.0]))
-        assert diag.passed
+        assert diag.physical
         assert diag.condition_v > 1e8
         assert any("conditioned" in w for w in diag.warnings)
 

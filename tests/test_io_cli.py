@@ -385,19 +385,19 @@ class TestCliSeed:
 
 class TestCliImport:
     def test_public_api(self):
-        # one entry point per job: a new public wrapper shows up here
+        # one entry point per job: a new public wrapper shows up here; submodules are not exported
         assert sorted(gbsim.__all__) == [
             "ClickPattern", "CollisionReport", "ComplexUnitary", "FormatError", "GaussianMixture", "GaussianPOVM",
             "GbsimError", "HBAR", "HusimiCovariance", "KernelMatrix", "NumericalError", "OutcomeDensity", "PNRPattern",
             "PhysicalityError", "PipelineConfig", "QuadratureState", "SampleRecord", "ThresholdDistribution",
             "TorontonianResult", "apply_interferometer", "backaction", "chain_rule_probability",
-            "collision_probability", "cv", "distribution", "errors", "gaussian", "haar_collision_experiment",
-            "haar_unitary", "hafnian", "hafnian_from_torontonian", "hafnian_naive", "hafnian_powerset", "hafnian_xo",
-            "herald", "heterodyne", "homodyne", "husimi_covariance", "kernel_matrix", "marginal", "outcome_density",
-            "photon_moments", "pnr_prob", "probabilities", "q_function", "quadrature_covariance", "reduce_matrix",
-            "reduce_state", "sample", "sample_batch", "sample_outcomes", "sampler", "simulate_pipeline",
-            "squeezed_state", "step", "substream_id", "threshold_prob", "threshold_prob_oracle", "tor_as_hafnian_sum",
-            "torontonian", "torontonian_series", "vacuum_state", "validate_state",
+            "collision_probability", "distribution", "haar_collision_experiment", "haar_unitary",
+            "hafnian_from_torontonian", "hafnian_naive", "hafnian_powerset", "hafnian_xo", "herald", "heterodyne",
+            "homodyne", "husimi_covariance", "kernel_matrix", "marginal", "outcome_density", "photon_moments",
+            "pnr_prob", "q_function", "quadrature_covariance", "reduce_matrix", "reduce_state", "sample",
+            "sample_batch", "sample_outcomes", "simulate_pipeline", "squeezed_state", "step", "substream_id",
+            "threshold_prob", "threshold_prob_oracle", "tor_as_hafnian_sum", "torontonian", "torontonian_series",
+            "vacuum_state", "validate_state",
         ]
 
     def test_import_leaves_scipy_stats_unloaded(self):

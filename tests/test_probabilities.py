@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gbsim import (
     NumericalError,
@@ -21,7 +22,7 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.gaussian import random_state, reduce_matrix
-from gbsim.probabilities import haar_bound_confidence, state_kernel
+from gbsim.probabilities import state_kernel
 
 from conftest import tmsv
 
@@ -292,7 +293,8 @@ class TestHaarCollision:
     def test_small_experiment_below_bound(self, rng):
         result = haar_collision_experiment(3, [0.3, 0.3, 0.0], 30, rng)
         assert result.mean_epsilon < result.bound
-        assert haar_bound_confidence(result) <= result.bound
+        # one-sided 95% confidence: mean + t(0.95, trials - 1) * SE below the bound
+        assert result.mean_epsilon + stats.t.ppf(0.95, result.trials - 1) * result.stderr <= result.bound
 
     def test_trial_floor(self, rng):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gbsim import (
+    ClickPattern,
     GaussianMixture,
     NumericalError,
     QuadratureState,
@@ -160,6 +161,12 @@ class TestMixtureInvariants:
                 history=(),  # no clicks recorded, so two branches are illegal
             )
 
+    def test_indefinite_branch_rejected(self):
+        # V_B + 1 = -2 I has det 4 > 0: a determinant-only test takes it for positive definite
+        mixture = GaussianMixture(labels=(1, 2), weights=[1.0], covs=[-3 * np.eye(4)], means=[np.zeros(4)])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            herald(mixture, [2], [0])
+
 
 class TestChainRule:
     def test_matches_enumeration_every_pattern(self, rng):
@@ -176,6 +183,11 @@ class TestChainRule:
             for pattern, p in dist.items_sorted():
                 got = chain_rule_probability(state, pattern, order=order)
                 assert got == pytest.approx(p, abs=1e-9)
+
+    def test_pattern_mode_count_checked(self):
+        # as in threshold_prob: a 7-mode pattern is not read as a 5-mode one
+        with pytest.raises(ValueError, match="mode count"):
+            chain_rule_probability(squeezed_state([0.5] * 5), ClickPattern(7, (6,)))
 
 
 class TestSample:
