@@ -8,6 +8,7 @@ and flags; anything time-dependent goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -132,17 +133,7 @@ def cmd_prep(args):
 
 def cmd_tor(args):
     result = torontonian(_load_square_matrix(args.matrix), threads=args.threads)
-    _emit(
-        {
-            "value": result.value,
-            "terms": result.terms,
-            "max_term_magnitude": result.max_term_magnitude,
-            "summation": result.summation,
-            "cancellation_warning": result.cancellation_warning,
-            "error_estimate": result.error_estimate,
-        },
-        args.out,
-    )
+    _emit(dataclasses.asdict(result), args.out)
     return EXIT_OK
 
 

@@ -21,11 +21,13 @@ gives ``hafnian_from_torontonian`` through ``torontonian_series``.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import NumericalError
 from .gaussian import KernelMatrix, block_swap
-from .torontonian import _as_kernel, _exp_series, _power_traces, _powerset_sum, torontonian_series
+from .torontonian import _as_kernel, _chunk_terms, _exp_series, _power_traces, _powerset_sum, torontonian_series
 
 NAIVE_MAX_DIM = 16  # (2m-1)!! growth; oracle scale
 POWERSET_MAX_DIM = 30
@@ -80,7 +82,8 @@ def hafnian_powerset(A):
         AX = A  # deliberately broken arrangement for the mutation test
     else:
         AX = A[:, list(range(half, n)) + list(range(half))]
-    total = _powerset_sum(AX, half, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])[0]
+    terms_of = partial(_chunk_terms, AX, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])
+    total = _powerset_sum(terms_of, half)[0]
     return complex(-total if _SIGN_FLIP else total)
 
 

@@ -35,7 +35,7 @@ from .gaussian import (
     sqrt_det_sigma,
 )
 from .hafnian import hafnian_xo
-from .torontonian import _eta_series, _inverse_sqrt_det, _real_form, _subset_sums, torontonian
+from .torontonian import _chunk_terms, _eta_series, _minor_terms, _real_form, _subset_sums, torontonian
 
 ENUMERATION_MODES = 12
 COLLISION_MODES = 10
@@ -191,7 +191,7 @@ def distribution(state):
     if state.modes > ENUMERATION_MODES:
         raise ValueError(f"full enumeration limited to {ENUMERATION_MODES} modes")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(_real_form(kernel.matrix), _inverse_sqrt_det).tolist()
+    tor = _subset_sums(_minor_terms(_real_form(kernel.matrix))).tolist()
     table = {}
     for clicked, value in zip(_click_patterns(state.modes), tor):
         table[clicked] = _clamp_probability(value / sqdet, f"distribution{clicked}")
@@ -317,8 +317,9 @@ def collision_probability(state, photon_cutoff="auto"):
     if photon_cutoff is not None and photon_cutoff < state.modes:
         raise ValueError("photon cutoff must reach the mode count for the L1 route")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(_real_form(kernel.matrix), _inverse_sqrt_det).tolist()
-    series = _subset_sums(kernel.matrix, _eta_series(state.modes if photon_cutoff is None else photon_cutoff))
+    tor = _subset_sums(_minor_terms(_real_form(kernel.matrix))).tolist()
+    order = state.modes if photon_cutoff is None else photon_cutoff
+    series = _subset_sums(_chunk_terms(kernel.matrix, _eta_series(order)))
     gaps = {}
     for mask, clicked in enumerate(_click_patterns(state.modes)):
         haf = float(series[mask, len(clicked)])  # Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S))

@@ -55,14 +55,14 @@ def _substream_rng(seed, index):
 
 
 def _set_mixture_arrays(obj, dim):
-    """Freeze a frozen dataclass's ``weights``, ``covs``, ``means`` as checked float stacks of B branches.
+    """Freeze a frozen dataclass's ``weights``, ``covs``, ``means`` as checked read-only copies of B branches.
 
     Entries must be finite and the weights sum to one within WEIGHT_TOL
     max(1, sum |w|): roundoff scales with the cancelling signed weights.
     """
-    weights = np.atleast_1d(np.asarray(obj.weights, dtype=float))
-    covs = np.asarray(obj.covs, dtype=float).reshape(len(weights), dim, dim)
-    means = np.asarray(obj.means, dtype=float).reshape(len(weights), dim)
+    weights = np.atleast_1d(np.array(obj.weights, dtype=float))
+    covs = np.array(obj.covs, dtype=float).reshape(len(weights), dim, dim)
+    means = np.array(obj.means, dtype=float).reshape(len(weights), dim)
     scale = math.fsum(np.abs(weights))  # finite exactly when every weight is
     if not (math.isfinite(scale) and np.isfinite(covs).all() and np.isfinite(means).all()):
         raise ValueError("mixture weights, covariances and means must be finite")

@@ -9,18 +9,17 @@ where O_(Z) keeps rows and columns {Z, Z + N}. The sign is attached to the
 kept subset so that the empty subset contributes (-1)^N; with this
 convention Tor is a probability weight: Tor([[0, t], [t, 0]]) = 1/sqrt(1 - t^2) - 1.
 
-One engine evaluates every signed sum of this shape: the Torontonian
-(batched real Cholesky of the blocks of ``_real_form(O)``, the real xxpp
-form of 1 - O), and both its eta series and the power-set Hafnian in
-``hafnian`` (batched complex matrix-power traces, then the
-exp-of-power-sums recurrence). It walks the masks in bitmask order
-(mask 0 .. 2^N - 1, bit k = mode k+1) in chunks of 2^CHUNK_BITS, groups
-each chunk by popcount and evaluates every group's stack of reduced
-blocks in one batched call. Each chunk is summed exactly
+One engine evaluates every signed sum of this shape over the masks in
+bitmask order (mask 0 .. 2^N - 1, bit k = mode k+1), in chunks of
+2^CHUNK_BITS. The Torontonian's terms come from one Schur-complement tree
+over ``_real_form(O)``, the real xxpp form of 1 - O, in O(1) amortised work
+per subset (Griffin-Tsatsomeros, Linear Algebra Appl. 416, 2006). Its eta
+series and the power-set Hafnian in ``hafnian`` take batched complex
+matrix-power traces of each chunk's blocks. Each chunk is summed exactly
 (Shewchuk/fsum) and the chunk partials are reduced in index order, so
 every result is bitwise reproducible for any worker-thread count.
 
-Every reduced kernel O_(S) has its blocks among those of O, so the same
+Every reduced kernel O_(S) has its terms among those of O, so the same
 2^N terms give the sums for all O_(S) at once (``_subset_sums``, the subset
 transform of Bjorklund-Husfeldt-Kaski-Koivisto, arXiv:cs/0611101).
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,42 +76,57 @@ def _subset_indices(masks, modes):
     return np.concatenate([idx, idx + modes], axis=1)
 
 
-def _chunk_terms(M, modes, start, stop, evaluate):
-    """Signed terms (-1)^(N - |Z|) evaluate(M_(Z)) for masks in [start, stop), in mask order.
+def _chunk_terms(M, evaluate, start=0, stop=None):
+    """Signed terms (-1)^(N - |Z|) evaluate(M_(Z)) for masks in [start, stop) (default all 2^N), in mask order.
 
-    ``evaluate`` maps a (B, 2k, 2k) stack of reduced blocks, all of one
-    subset size k, to B values of any trailing shape; the empty subset
-    arrives as a (B, 0, 0) stack. It raises LinAlgError only when some
-    block of the stack is not positive definite.
+    ``evaluate`` maps a (B, 2k, 2k) stack of reduced blocks, all of one subset size k, to B values of any
+    trailing shape; the empty subset arrives as a (B, 0, 0) stack.
     """
-    masks = np.arange(start, stop, dtype=np.int64)
+    modes = M.shape[0] // 2
+    masks = np.arange(start, 1 << modes if stop is None else stop, dtype=np.int64)
     sizes = np.bitwise_count(masks)
     terms = None
     for k in np.unique(sizes):
         sel = sizes == k
         rows = _subset_indices(masks[sel], modes)
-        blocks = M[rows[:, :, None], rows[:, None, :]]
-        try:
-            values = evaluate(blocks)
-        except np.linalg.LinAlgError:
-            _locate_failure(blocks, masks[sel], modes, evaluate)
-            raise
+        values = evaluate(M[rows[:, :, None], rows[:, None, :]])
         if terms is None:
             terms = np.empty((len(masks),) + values.shape[1:], dtype=values.dtype)
         terms[sel] = -values if (modes - k) % 2 else values
     return terms
 
 
-def _locate_failure(blocks, masks, modes, evaluate):
-    for block, mask in zip(blocks, masks):
-        try:
-            evaluate(block[None])
-        except np.linalg.LinAlgError:
-            subset = [i + 1 for i in range(modes) if int(mask) >> i & 1]
-            raise PhysicalityError(
-                f"1 - O_(Z) is not positive definite for subset Z = {subset}; "
-                "the kernel does not come from a physical state"
-            ) from None
+def _minor_terms(R, start=0, stop=None):
+    """Signed terms (-1)^(N - |Z|) det(R_(Z))^(-1/2) for masks in [start, stop) (default all 2^N), in mask order.
+
+    A pivot tree over R's (x_j, p_j) pairs, highest mode first: each node's "out" child drops its leading 2x2
+    block P and flips the sign, its "in" child takes the Schur complement and divides by sqrt(det P). Levels
+    above the 2^low masks keep the child picked by ``start``. The update is entrywise, with no BLAS, so the
+    term of Z is bit for bit the same in the tree of every R_(S) with Z in S.
+    """
+    modes = R.shape[0] // 2
+    low = ((1 << modes if stop is None else stop) - start).bit_length() - 1
+    order = (np.arange(modes)[::-1, None] + [0, modes]).ravel()
+    M = R[order[:, None], order][:, :, None]  # nodes along the last axis
+    factor = np.ones(1)
+    for mode in reversed(range(modes)):
+        (a, b), (c, d) = M[:2, :2]
+        det = a * d - b * c
+        bad = np.flatnonzero(~((a > 0) & (det > 0)))  # a NaN pivot fails too
+        if len(bad):
+            mask = ((start >> (mode + 1)) + int(bad[0])) << (mode + 1) | 1 << mode
+            subset = [i + 1 for i in range(modes) if mask >> i & 1]
+            raise PhysicalityError(f"1 - O_(Z) is not positive definite for subset Z = {subset}; "
+                                   "the kernel does not come from a physical state")
+        l0 = (M[2:, 0] * d - M[2:, 1] * c) / det  # M[2:, :2] P^-1, entry by entry
+        l1 = (M[2:, 1] * a - M[2:, 0] * b) / det
+        schur = M[2:, 2:] - l0[:, None] * M[0, 2:] - l1[:, None] * M[1, 2:]
+        M = np.stack([M[2:, 2:], schur], axis=-1).reshape(schur.shape[:2] + (2 * len(factor),))
+        factor = np.stack([-factor, factor / np.sqrt(det)], axis=-1).ravel()
+        if mode >= low:
+            bit = start >> mode & 1
+            M, factor = M[:, :, bit:bit + 1], factor[bit:bit + 1]
+    return factor
 
 
 def _fsum(terms):
@@ -127,8 +142,8 @@ def _chunk_size(modes):
     return 1 << min(modes, CHUNK_BITS)
 
 
-def _powerset_sum(M, modes, evaluate, threads=1):
-    """Signed sum of ``evaluate`` over all 2^N reduced blocks of M (see ``_chunk_terms``).
+def _powerset_sum(terms_of, modes, threads=1):
+    """Signed sum of the terms ``terms_of(start, stop)`` of all 2^N masks (``_minor_terms`` or ``_chunk_terms``).
 
     Returns (sum, largest term magnitude, sum of term magnitudes). Each
     chunk is summed exactly and the chunk partials are reduced in index
@@ -138,7 +153,7 @@ def _powerset_sum(M, modes, evaluate, threads=1):
     chunk = _chunk_size(modes)
 
     def run(start):
-        terms = _chunk_terms(M, modes, start, min(start + chunk, total), evaluate)
+        terms = terms_of(start, min(start + chunk, total))
         magnitudes = np.abs(terms)
         return _fsum(terms), float(magnitudes.max()), magnitudes.sum(axis=0)
 
@@ -152,18 +167,14 @@ def _powerset_sum(M, modes, evaluate, threads=1):
     return _fsum(np.array(sums)), max(maxima), _fsum(np.array(magnitudes))
 
 
-def _subset_sums(M, evaluate):
+def _subset_sums(terms):
     """The engine's signed sum for every M_(S), one row per S in bitmask order, from the 2^N terms of M.
 
-    M is the matrix the engine gathers from: ``_real_form(O)`` for the
-    Torontonian, O itself for the series. Row S is (-1)^(N - |S|) times the
-    exact sum of the ``_chunk_terms`` terms over the submasks of S: the same
-    blocks, summed exactly, so bit for bit the engine's sum for M_(S) while
-    M_(S) fits one chunk.
+    ``terms`` are all 2^N ``_minor_terms`` or ``_chunk_terms`` of M. Row S is (-1)^(N - |S|) times the exact sum
+    of the terms of the submasks of S, so bit for bit the engine's sum for M_(S) while M_(S) fits one chunk.
     """
-    modes = M.shape[0] // 2
-    sets = np.arange(1 << modes, dtype=np.int64)
-    terms = _chunk_terms(M, modes, 0, len(sets), evaluate)
+    modes = len(terms).bit_length() - 1
+    sets = np.arange(len(terms), dtype=np.int64)
     sizes = np.bitwise_count(sets)
     sums = np.empty_like(terms)
     for k in range(modes + 1):
@@ -187,12 +198,6 @@ def _real_form(O):
     B = -O[:n, n:]
     R = np.block([[A.real + B.real, B.imag - A.imag], [A.imag + B.imag, A.real - B.real]])
     return 0.5 * (R + R.T)
-
-
-def _inverse_sqrt_det(blocks):
-    """det(1 - O_(Z))^(-1/2) per block R_(Z) of ``_real_form(O)``, by batched real Cholesky (LinAlgError if not PD)."""
-    chol = np.linalg.cholesky(blocks)
-    return np.exp(-np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
 
 
 def _power_traces(blocks, order):
@@ -245,7 +250,7 @@ def torontonian(O, threads=1):
     modes = O.modes
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
-    value, max_term, magnitude = _powerset_sum(_real_form(O.matrix), modes, _inverse_sqrt_det, threads)
+    value, max_term, magnitude = _powerset_sum(partial(_minor_terms, _real_form(O.matrix)), modes, threads)
     value = -value if _SIGN_FLIP else value
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
@@ -270,5 +275,5 @@ def torontonian_series(O, order):
     if order < 0:
         raise ValueError("order must be nonnegative")
     O = _as_kernel(O)
-    coeffs = _powerset_sum(O.matrix, O.modes, _eta_series(order))[0]
+    coeffs = _powerset_sum(partial(_chunk_terms, O.matrix, _eta_series(order)), O.modes)[0]
     return -coeffs if _SIGN_FLIP else coeffs

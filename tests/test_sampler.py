@@ -161,6 +161,14 @@ class TestMixtureInvariants:
                 history=(),  # no clicks recorded, so two branches are illegal
             )
 
+    def test_arrays_are_frozen_copies(self):
+        w, c, m = np.array([1.0]), np.eye(2)[None].copy(), np.zeros((1, 2))
+        mixture = GaussianMixture(labels=(1,), weights=w, covs=c, means=m)
+        assert w.flags.writeable and c.flags.writeable and m.flags.writeable
+        c[0, 0, 0] = -5.0
+        assert mixture.covs[0, 0, 0] == 1.0
+        assert not (mixture.weights.flags.writeable or mixture.covs.flags.writeable or mixture.means.flags.writeable)
+
     def test_indefinite_branch_rejected(self):
         # V_B + 1 = -2 I has det 4 > 0: a determinant-only test takes it for positive definite
         mixture = GaussianMixture(labels=(1, 2), weights=[1.0], covs=[-3 * np.eye(4)], means=[np.zeros(4)])

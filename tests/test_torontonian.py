@@ -19,7 +19,7 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.gaussian import block_swap, random_state, sqrt_det_sigma
-from gbsim.torontonian import _inverse_sqrt_det, _real_form
+from gbsim.torontonian import _minor_terms, _real_form
 
 
 def kernel_of(state):
@@ -71,6 +71,18 @@ def mp_torontonian_terms(O):
                 det = mpmath.re(mpmath.det(M))
             terms.append((-1) ** (modes - len(kept)) / mpmath.sqrt(det))
     return terms
+
+
+def slogdet_terms(R):
+    """Signed subset terms (-1)^(N - |Z|) det(R_(Z))^(-1/2), one LAPACK slogdet per block R_(Z)."""
+    modes = R.shape[0] // 2
+    terms = []
+    for mask in range(1 << modes):
+        idx = subset_rows(mask, modes)
+        sign, logdet = np.linalg.slogdet(R[np.ix_(idx, idx)])
+        assert sign == 1.0
+        terms.append((-1) ** (modes - len(idx) // 2) * math.exp(-0.5 * logdet))
+    return np.array(terms)
 
 
 def subset_rows(mask, modes):
@@ -148,6 +160,13 @@ class TestTorontonianValues:
         with pytest.raises(PhysicalityError, match=r"Z = \[1\]"):
             torontonian(bad)
 
+    def test_unphysical_pair_identifies_subset_below_root(self):
+        # Each single-mode block is the identity, but the pair has eigenvalue 1 - 1.5 < 0.
+        A = np.array([[0, 1.5], [1.5, 0]])
+        bad = np.block([[A, np.zeros((2, 2))], [np.zeros((2, 2)), A]]).astype(complex)
+        with pytest.raises(PhysicalityError, match=r"Z = \[1, 2\]"):
+            torontonian(bad)
+
     def test_result_metadata(self):
         result = torontonian(squeezed_kernel(0.5))
         assert result.max_term_magnitude >= 1.0
@@ -172,15 +191,39 @@ class TestTorontonianValues:
 
 class TestRealForm:
     def test_empty_block(self):
-        assert _inverse_sqrt_det(np.zeros((1, 0, 0))) == 1.0
+        assert _minor_terms(np.zeros((0, 0)))[-1] == 1.0
 
     def test_vacuum_block(self):
-        assert _inverse_sqrt_det(_real_form(np.zeros((2, 2)))[None])[0] == pytest.approx(1.0)
+        assert _minor_terms(_real_form(np.zeros((2, 2))))[-1] == pytest.approx(1.0)
 
     def test_squeezed_block(self):
-        value = _inverse_sqrt_det(_real_form(squeezed_kernel(1.0))[None])[0] ** -2
+        value = _minor_terms(_real_form(squeezed_kernel(1.0)))[-1] ** -2
         assert value == pytest.approx(1 - math.tanh(1.0) ** 2, rel=1e-12)
         assert value == pytest.approx(0.419974, abs=5e-7)
+
+    @pytest.mark.parametrize("modes", range(1, 8))
+    def test_tree_terms_match_slogdet(self, rng, modes):
+        states = [
+            random_state(modes, rng),
+            random_state(modes, rng, pure=False),
+            apply_interferometer(squeezed_state([0.6] * modes), haar_unitary(modes, rng)),
+        ]
+        for state in states:
+            R = _real_form(kernel_of(state).matrix)
+            np.testing.assert_allclose(_minor_terms(R), slogdet_terms(R), rtol=1e-12, atol=0)
+
+    def test_tree_spans_chunks(self):
+        # 15 modes: four chunks of 8192 subsets, each entered along its own path.
+        rng = np.random.default_rng(0)
+        state = apply_interferometer(squeezed_state([0.4] * 15), haar_unitary(15, rng))
+        R = _real_form(kernel_of(state).matrix)
+        reference = slogdet_terms(R)
+        chunks = [_minor_terms(R, start, start + 8192) for start in range(0, 1 << 15, 8192)]
+        np.testing.assert_allclose(np.concatenate(chunks), reference, rtol=1e-12, atol=0)
+        # The terms differ by about 1e-15 relative with no common sign, so the
+        # sums agree well within the result's own error estimate.
+        result = torontonian(kernel_of(state))
+        assert abs(result.value - math.fsum(reference)) <= result.error_estimate * abs(result.value)
 
     def test_symmetric_with_the_subset_determinants(self, rng):
         for modes in range(1, 7):
