@@ -10,12 +10,12 @@ nonnegativity is probed numerically when a density is built, on a
 scrambled Halton point set that is built once per process on the unit
 square and scaled to each density's box: the branch means +- 6 sigma, each
 axis by its own largest branch variance, so a homodyne density's x range
-does not take the width of its p range.
+does not take the width of its p range. The pdf adds up branches in place.
 
 Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
-both closed-form error-function mixtures, by Newton steps on the
-closed-form mixture pdf inside a bracket that every CDF evaluation
-shrinks (a step that leaves the bracket falls back to its midpoint).
+both closed-form error-function mixtures (one ``np.vecdot`` per sum), by
+Newton steps on the closed-form mixture pdf inside a bracket that every CDF
+evaluation shrinks (a step that leaves the bracket falls back to its midpoint).
 Backaction is the sampler's one conditioning step (``sampler._condition``),
 of which a threshold no-click is the special case W = 1 at outcome 0.
 """
@@ -142,18 +142,27 @@ class OutcomeDensity:
             raise NumericalError(f"signed mixture is not a valid density: pdf = {low:.3e} < 0")
 
     def pdf(self, points):
-        """Density at an (n, 2) array of outcome points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        x, p = points[:, 0], points[:, 1]
+        """Density at an (n, 2) array of outcome points, or at one [x, p] point.
+
+        Each branch takes -d/(2 det), b/det, -a/(2 det) and w/(2 pi sqrt(det))
+        once and adds its term into one total with in-place ufuncs."""
+        x, p = np.atleast_2d(np.asarray(points, dtype=float)).T
         a, b, d = self.covs[:, 0, 0], self.covs[:, 0, 1], self.covs[:, 1, 1]
         det = _positive_definite_dets(self.covs)
-        norm = 2 * math.pi * np.sqrt(det)
-        comps = np.empty((len(points), len(self.weights)))
-        for k, (mx, mp) in enumerate(self.means):
+        coeffs = zip(self.means, -0.5 * d / det, b / det, -0.5 * a / det, self.weights / (2 * math.pi * np.sqrt(det)))
+        total = np.zeros(len(x))
+        for (mx, mp), cxx, cxp, cpp, scale in coeffs:
             dx, dy = x - mx, p - mp
-            quad = (d[k] * dx ** 2 - 2 * b[k] * dx * dy + a[k] * dy ** 2) / det[k]
-            comps[:, k] = np.exp(-0.5 * quad) / norm[k]
-        return comps @ self.weights
+            term = dx * dy
+            term *= cxp
+            dx *= dx
+            dx *= cxx
+            term += dx
+            dy *= dy
+            dy *= cpp
+            term += dy
+            total += scale * np.exp(term, out=term)
+        return total
 
     def _conditional_components(self, x):
         """Weights/means/variances of p given x (per sampled x, vectorized)."""
@@ -194,18 +203,18 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
     bracketed by mean +- 12 sigma, widened for extreme quantiles. Each
     iteration shrinks the bracket by the sign of the CDF mismatch, then takes
     a Newton step on the closed-form pdf ``sum_k w_k phi(z_k) / sigma_k``,
-    falling back to the bracket midpoint where the step is not strictly
-    inside (a vanishing or rounded-negative pdf gives such a step). It stops
-    once the mismatch is at most ``tol`` or the bracket reaches floating
-    point resolution.
+    falling back to the bracket midpoint where the step is not strictly inside
+    (a vanishing or rounded-negative pdf gives such a step). It stops once the
+    mismatch is at most ``tol`` or the bracket reaches floating point
+    resolution. Branch sums are ``np.vecdot`` over the last axis, so
+    ``weights`` may be (B,) (the x solve) or (n, B) (the p solve).
     """
     u = np.asarray(u, dtype=float)
     lo = np.full(u.shape, (means - 12 * sigmas).min(axis=-1))
     hi = np.full(u.shape, (means + 12 * sigmas).max(axis=-1))
 
     def cdf(x):
-        z = (x[..., None] - means) / sigmas
-        return np.sum(ndtr(z) * weights, axis=-1)
+        return np.vecdot(ndtr((x[..., None] - means) / sigmas), weights)
 
     # widen brackets for extreme quantiles
     for _ in range(64):
@@ -220,21 +229,22 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
         hi = np.where(bad, hi + (hi - lo), hi)
     scaled_weights = weights / (sigmas * math.sqrt(2 * math.pi))
     x = 0.5 * (lo + hi)
-    for _ in range(200):
-        z = (x[..., None] - means) / sigmas
-        err = np.sum(ndtr(z) * weights, axis=-1) - u
-        done = np.abs(err) <= tol
-        width_ok = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))
-        if np.all(done | width_ok):
-            break
-        hi = np.where(err > 0, x, hi)
-        lo = np.where(err > 0, lo, x)
-        pdf = np.sum(np.exp(-0.5 * z * z) * scaled_weights, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - err / pdf
-        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-    else:
-        raise NumericalError("inverse-CDF Newton solve did not converge in its bracket; density is likely invalid")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            z = (x[..., None] - means) / sigmas
+            err = np.vecdot(ndtr(z), weights) - u
+            done = np.abs(err) <= tol
+            width_ok = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))
+            if np.all(done | width_ok):
+                break
+            hi = np.where(err > 0, x, hi)
+            lo = np.where(err > 0, lo, x)
+            z *= z
+            z *= -0.5
+            step = x - err / np.vecdot(np.exp(z, out=z), scaled_weights)
+            x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        else:
+            raise NumericalError("inverse-CDF Newton solve did not converge in its bracket; density is likely invalid")
     return x
 
 

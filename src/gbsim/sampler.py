@@ -332,7 +332,7 @@ def mixture_apply_interferometer(mixture, unitary):
     return GaussianMixture(
         labels=mixture.labels,
         weights=mixture.weights,
-        covs=np.einsum("ij,bjk,lk->bil", S, mixture.covs, S),
+        covs=S @ mixture.covs @ S.T,
         means=mixture.means @ S.T,
         history=mixture.history,
     )

@@ -33,7 +33,7 @@ from gbsim.cv import (
     measure_all_cv,
     paired_source_state,
 )
-from gbsim.gaussian import haar_unitary, random_state
+from gbsim.gaussian import apply_interferometer, haar_unitary, random_state
 from gbsim.sampler import mixture_apply_interferometer
 
 from conftest import gauss_legendre_2d, integrate_density, tmsv
@@ -151,7 +151,14 @@ class TestOutcomeDensity:
                 quad = (d * dx * dx - 2 * b * dx * dy + a * dy * dy) / det
                 terms.append(w * math.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(det)))
             expected.append(math.fsum(terms))
-        assert density.pdf(points) == pytest.approx(expected, rel=1e-12)
+        # the pdf works in place on its own temporaries: a read-only array and
+        # a single 1-D [x, p] point evaluate the same and come back untouched
+        frozen = points.copy()
+        frozen.setflags(write=False)
+        for given, rows in ((points, expected), (frozen, expected), (points[0].copy(), expected[:1])):
+            before = given.copy()
+            assert density.pdf(given) == pytest.approx(rows, rel=1e-12)
+            assert np.array_equal(given, before)
 
     def test_multimode_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +262,23 @@ class TestInverseCdf:
         for axis in (0, 1):
             sigmas = np.sqrt(density.covs[:, axis, axis])
             assert _cdf_residual(u, density.weights, density.means[:, axis], sigmas).max() <= CDF_TOL
+
+    @pytest.mark.parametrize("povm", [heterodyne(), homodyne()], ids=["het", "hom"])
+    def test_conditional_solve_with_per_row_weights(self, povm):
+        # the p solve gets one row of conditional weights per sampled x
+        mixture, _ = herald(paired_source_state(3, 3, 0.9), [4, 5, 6], [1, 1, 1])
+        mixture = mixture_apply_interferometer(mixture, haar_unitary(3, np.random.default_rng(5)).matrix)
+        density = outcome_density(marginal(mixture, 2), povm)
+        assert len(density.weights) == 8
+        xs, ps = sample_outcomes(density, 64, np.random.default_rng(12)).T
+        u = np.random.default_rng(12).random((64, 2))
+        sig_x = np.sqrt(density.covs[:, 0, 0])
+        x_cdf = np.sum(ndtr((xs[:, None] - density.means[:, 0]) / sig_x) * density.weights, axis=-1)
+        assert np.abs(x_cdf - u[:, 0]).max() <= CDF_TOL
+        w, mu, var = density._conditional_components(xs)
+        assert w.shape == (64, 8) and np.ptp(w, axis=0).max() > 0
+        p_cdf = np.sum(ndtr((ps[:, None] - mu) / np.sqrt(var)) * w, axis=-1)
+        assert np.abs(p_cdf - u[:, 1]).max() <= CDF_TOL
 
 
 class TestSampling:
@@ -402,6 +426,23 @@ class TestMarginalThenMeasure:
         stderr = expect_var * math.sqrt(2.0 / len(pts))
         assert abs(pts[:, 0].var() - expect_var) < 3 * stderr
         assert abs(pts[:, 1].var() - expect_var) < 3 * stderr
+
+
+class TestMixtureInterferometer:
+    def test_branches_match_state_route(self):
+        # three threshold heralds give 8 branches; random means make the mean map visible
+        mixture, _ = herald(paired_source_state(4, 3, 0.9), [5, 6, 7], [1, 1, 1])
+        means = np.random.default_rng(9).normal(0.0, 1.0, mixture.means.shape)
+        mixture = GaussianMixture(
+            labels=mixture.labels, weights=mixture.weights, covs=mixture.covs, means=means, history=mixture.history
+        )
+        U = haar_unitary(4, np.random.default_rng(10)).matrix
+        evolved = mixture_apply_interferometer(mixture, U)
+        assert evolved.branch_count == 8
+        for k in range(8):
+            state = apply_interferometer(QuadratureState(mixture.covs[k], mixture.means[k]), U)
+            assert np.abs(evolved.covs[k] - state.V).max() <= 1e-13 * np.abs(state.V).max()
+            assert np.abs(evolved.means[k] - state.r).max() <= 1e-13 * np.abs(state.r).max()
 
 
 class TestPipelines:
