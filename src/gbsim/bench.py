@@ -42,7 +42,7 @@ class BenchResult:
         return buf.getvalue()
 
 
-def _time_runs(fn, repeats=REPEATS):
+def _time_runs(fn, repeats):
     fn()  # warmup
     samples = []
     for _ in range(repeats):
@@ -53,31 +53,30 @@ def _time_runs(fn, repeats=REPEATS):
     return float(np.median(arr)), float(arr.mean()), float(arr.std(ddof=1))
 
 
-def _doubling_factor(sizes, values, skip=FIT_SKIP):
-    sizes = np.asarray(sizes, dtype=float)[skip:]
-    values = np.log(np.asarray(values, dtype=float)[skip:])
-    if len(sizes) < 2:
+def _sweep(kind, sizes, timed_call, repeats):
+    """Time ``timed_call(size)`` at every size; the doubling factor fits log(median) against size.
+
+    ``timed_call(size)`` prepares its inputs and returns the zero-argument function that is timed.
+    """
+    if len(sizes) < FIT_SKIP + 2:
         raise ValueError("need at least two sizes beyond the excluded ones")
-    slope = np.polyfit(sizes, values, 1)[0]
-    return float(math.exp(slope))
+    medians, means, stds = zip(*[_time_runs(timed_call(size), repeats) for size in sizes])
+    slope = np.polyfit(sizes[FIT_SKIP:], np.log(medians[FIT_SKIP:]), 1)[0]
+    return BenchResult(kind, tuple(sizes), medians, means, stds, float(math.exp(slope)))
 
 
-def bench_torontonian(sizes, seed, threads=1, repeats=REPEATS):
+def bench_torontonian(sizes, seed, repeats=REPEATS):
     """Time the full Torontonian of random physical N-mode kernels."""
     sizes = sorted(int(s) for s in sizes)
     if sizes and sizes[-1] > 22:
         raise ValueError("Torontonian benchmark limited to N <= 22")
     rng = np.random.default_rng(seed)
-    medians, means, stds = [], [], []
-    for n in sizes:
-        state = random_state(n, rng, max_squeezing=0.4)
-        _, kernel, _ = state_kernel(state)
-        med, mean, std = _time_runs(lambda: torontonian(kernel, threads=threads), repeats)
-        medians.append(med)
-        means.append(mean)
-        stds.append(std)
-    return BenchResult("tor", tuple(sizes), tuple(medians), tuple(means), tuple(stds),
-                       _doubling_factor(sizes, medians))
+
+    def timed_call(n):
+        _, kernel, _ = state_kernel(random_state(n, rng, max_squeezing=0.4))
+        return lambda: torontonian(kernel)
+
+    return _sweep("tor", sizes, timed_call, repeats)
 
 
 def bench_sampler(click_counts, seed, modes=16, repeats=REPEATS):
@@ -91,14 +90,10 @@ def bench_sampler(click_counts, seed, modes=16, repeats=REPEATS):
     if click_counts and click_counts[-1] > 16:
         raise ValueError("sampler benchmark limited to 16 forced clicks")
     modes = max(modes, click_counts[-1] if click_counts else 1)
-    rng = np.random.default_rng(seed)
-    state = random_state(modes, rng, max_squeezing=0.5)
-    medians, means, stds = [], [], []
-    for k in click_counts:
+    state = random_state(modes, np.random.default_rng(seed), max_squeezing=0.5)
+
+    def timed_call(k):
         pattern = ClickPattern(modes, tuple(range(1, k + 1)))
-        med, mean, std = _time_runs(lambda: chain_rule_probability(state, pattern), repeats)
-        medians.append(med)
-        means.append(mean)
-        stds.append(std)
-    return BenchResult("sample", tuple(click_counts), tuple(medians), tuple(means), tuple(stds),
-                       _doubling_factor(click_counts, medians))
+        return lambda: chain_rule_probability(state, pattern)
+
+    return _sweep("sample", click_counts, timed_call, repeats)

@@ -189,7 +189,7 @@ def _as_click_pattern(state, pattern):
 
 def _clamp_probability(p, where):
     """``p`` clipped to [0, 1]; raises beyond CLAMP_TOL, logs a warning when it clips."""
-    if p < -CLAMP_TOL or p > 1 + CLAMP_TOL:
+    if not -CLAMP_TOL <= p <= 1 + CLAMP_TOL:
         raise NumericalError(f"{where}: probability {p!r} outside [0, 1] beyond tolerance")
     if p < 0 or p > 1:
         log.warning("%s: clamped probability %.3e to [0, 1]", where, p)
@@ -374,7 +374,7 @@ class StateDiagnostics:
     warnings: tuple
 
 
-def validate_state(state_or_v, r=None):
+def validate_state(state_or_v):
     """Diagnostic report: symmetry defect, uncertainty eigenvalue, conditioning.
 
     Accepts a QuadratureState or a raw covariance matrix; never raises for

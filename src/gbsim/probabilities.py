@@ -53,12 +53,12 @@ def state_kernel(state):
     return sigma, kernel_matrix(sigma), sqrt_det_sigma(sigma)
 
 
-def threshold_prob(state, pattern, threads=1):
+def threshold_prob(state, pattern):
     """Probability of a threshold click pattern: Tor(O_(S)) / sqrt(det Sigma)."""
     _require_zero_mean(state)
     pattern = _as_click_pattern(state, pattern)
     sigma, kernel, sqdet = state_kernel(state)
-    tor = torontonian(reduce_matrix(kernel.matrix, pattern), threads=threads)
+    tor = torontonian(reduce_matrix(kernel.matrix, pattern))
     return _clamp_probability(tor.value / sqdet, "threshold_prob")
 
 

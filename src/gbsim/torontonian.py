@@ -17,7 +17,7 @@ per subset (Griffin-Tsatsomeros, Linear Algebra Appl. 416, 2006). Its eta
 series and the power-set Hafnian in ``hafnian`` take batched complex
 matrix-power traces of each chunk's blocks. Each chunk is summed exactly
 (Shewchuk/fsum) and the chunk partials are reduced in index order, so
-every result is bitwise reproducible for any worker-thread count.
+every result is bitwise reproducible.
 
 Every reduced kernel O_(S) has its terms among those of O, so the same
 2^N terms give the sums for all O_(S) at once (``_subset_sums``, the subset
@@ -27,7 +27,6 @@ transform of Bjorklund-Husfeldt-Kaski-Koivisto, arXiv:cs/0611101).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -142,12 +141,12 @@ def _chunk_size(modes):
     return 1 << min(modes, CHUNK_BITS)
 
 
-def _powerset_sum(terms_of, modes, threads=1):
+def _powerset_sum(terms_of, modes):
     """Signed sum of the terms ``terms_of(start, stop)`` of all 2^N masks (``_minor_terms`` or ``_chunk_terms``).
 
     Returns (sum, largest term magnitude, sum of term magnitudes). Each
     chunk is summed exactly and the chunk partials are reduced in index
-    order, so all three are bitwise identical for every thread count.
+    order, so all three are bitwise reproducible.
     """
     total = 1 << modes
     chunk = _chunk_size(modes)
@@ -157,13 +156,7 @@ def _powerset_sum(terms_of, modes, threads=1):
         magnitudes = np.abs(terms)
         return _fsum(terms), float(magnitudes.max()), magnitudes.sum(axis=0)
 
-    starts = range(0, total, chunk)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, starts))
-    else:
-        partials = [run(s) for s in starts]
-    sums, maxima, magnitudes = zip(*partials)
+    sums, maxima, magnitudes = zip(*[run(s) for s in range(0, total, chunk)])
     return _fsum(np.array(sums)), max(maxima), _fsum(np.array(magnitudes))
 
 
@@ -233,14 +226,12 @@ def _exp_series(traces):
     return coeff
 
 
-def torontonian(O, threads=1):
+def torontonian(O):
     """Evaluate the Torontonian of a kernel matrix.
 
     Parameters
     ----------
     O : KernelMatrix or 2N x 2N Hermitian array with the block structure.
-    threads : worker threads for the subset chunks. The result is bitwise
-        identical for every thread count.
 
     Returns
     -------
@@ -250,7 +241,7 @@ def torontonian(O, threads=1):
     modes = O.modes
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
-    value, max_term, magnitude = _powerset_sum(partial(_minor_terms, _real_form(O.matrix)), modes, threads)
+    value, max_term, magnitude = _powerset_sum(partial(_minor_terms, _real_form(O.matrix)), modes)
     value = -value if _SIGN_FLIP else value
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")

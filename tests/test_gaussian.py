@@ -6,6 +6,7 @@ import pytest
 from gbsim import (
     ClickPattern,
     ComplexUnitary,
+    NumericalError,
     PNRPattern,
     PhysicalityError,
     QuadratureState,
@@ -20,7 +21,7 @@ from gbsim import (
     vacuum_state,
     validate_state,
 )
-from gbsim.gaussian import block_swap, random_state, reduce_state, symplectic_form
+from gbsim.gaussian import _clamp_probability, block_swap, random_state, reduce_state, symplectic_form
 
 from conftest import tmsv
 
@@ -275,6 +276,22 @@ class TestValidateState:
         V[0, 1] = 1e-6
         with pytest.raises(PhysicalityError):
             QuadratureState(V)
+
+
+class TestClampProbability:
+    @pytest.mark.parametrize("p, expected", [
+        (float("nan"), NumericalError),
+        (float("inf"), NumericalError),
+        (-1e-9, NumericalError),
+        (-1e-11, 0.0),
+        (1 + 1e-11, 1.0),
+    ])
+    def test_clamps_within_tolerance_and_raises_beyond(self, p, expected):
+        if expected is NumericalError:
+            with pytest.raises(NumericalError):
+                _clamp_probability(p, "test")
+        else:
+            assert _clamp_probability(p, "test") == expected
 
 
 class TestRoundTripInvariants:

@@ -233,13 +233,13 @@ class TestCliSample:
         assert len(rows) == 100
         assert all(row["pattern"] == [] for row in rows)
 
-    def test_seed_reproducibility_across_threads(self, tmp_path, capsys):
+    def test_seed_reproducibility(self, tmp_path, capsys):
         state_path = tmp_path / "state.json"
         save_state(tmsv(1.0), state_path)
         outs = []
-        for threads, name in ((1, "a.jsonl"), (8, "b.jsonl")):
+        for name in ("a.jsonl", "b.jsonl"):
             out = tmp_path / name
-            assert run_cli("--seed", 42, "--threads", threads, "sample", state_path, "-n", 200, "--out", out) == 0
+            assert run_cli("--seed", 42, "sample", state_path, "-n", 200, "--out", out) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -399,6 +399,11 @@ class TestCliImport:
             "threshold_prob", "threshold_prob_oracle", "tor_as_hafnian_sum", "torontonian", "torontonian_series",
             "vacuum_state", "validate_state",
         ]
+
+    def test_global_options(self):
+        # the options before the subcommand: a new global knob shows up here
+        options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
+        assert options == {"-h", "--help", "--seed", "--tolerance"}
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs most of a CLI call's start-up; only cold paths import it, lazily

@@ -139,11 +139,12 @@ class TestTorontonianValues:
         values = [torontonian(eta * O).value for eta in np.linspace(0, 1, 11)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_thread_determinism_bitwise(self, rng):
-        state = random_state(14, rng, max_squeezing=0.4)
-        O = kernel_of(state)
-        results = {(r.value, r.error_estimate) for r in (torontonian(O, threads=t) for t in (1, 2, 8))}
-        assert len(results) == 1
+    def test_chunk_partials_reduce_in_index_order(self, rng):
+        # 14 modes span two 8192-mask chunks: each is summed exactly, then the partials in index order
+        O = kernel_of(random_state(14, rng, max_squeezing=0.4))
+        R = _real_form(O.matrix)
+        partials = [math.fsum(_minor_terms(R, s, s + 8192)) for s in (0, 8192)]
+        assert torontonian(O).value == math.fsum(partials)
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0, 0.3], [0.2, 0]], dtype=complex)
