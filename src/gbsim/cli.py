@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 on numerical or physicality failures, 3 on
-file/format problems. All primary outputs are deterministic given the seed
-and flags; anything time-dependent goes to stderr.
+file/format problems, a path that cannot be read or written included. All
+primary outputs are deterministic given the seed and flags; anything
+time-dependent goes to stderr.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ def main(argv=None):
         if not args.tolerance > 0:
             raise FormatError(f"--tolerance must be positive, got {args.tolerance}")
         return args.func(args)
-    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (NumericalError, ValueError) as exc:

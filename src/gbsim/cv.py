@@ -18,6 +18,10 @@ Newton steps on the closed-form mixture pdf inside a bracket that every CDF
 evaluation shrinks (a step that leaves the bracket falls back to its midpoint).
 Backaction is the sampler's one conditioning step (``sampler._condition``),
 of which a threshold no-click is the special case W = 1 at outcome 0.
+
+scipy loads only inside the functions that use it (``_unit_probe_points``
+and ``_invert_mixture_cdf``), so importing this module, and through it
+``gbsim.cli``, loads no module of scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NumericalError
 from .gaussian import QuadratureState, apply_interferometer, haar_unitary, squeezed_state
@@ -208,7 +211,10 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
     mismatch is at most ``tol`` or the bracket reaches floating point
     resolution. Branch sums are ``np.vecdot`` over the last axis, so
     ``weights`` may be (B,) (the x solve) or (n, B) (the p solve).
+    ``scipy.special`` is imported here, not at module load.
     """
+    from scipy.special import ndtr
+
     u = np.asarray(u, dtype=float)
     lo = np.full(u.shape, (means - 12 * sigmas).min(axis=-1))
     hi = np.full(u.shape, (means + 12 * sigmas).max(axis=-1))

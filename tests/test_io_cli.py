@@ -68,6 +68,10 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _src_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 class TestCliExitCodes:
     def test_missing_file_is_format_error(self, tmp_path):
         assert run_cli("tor", tmp_path / "nope.json") == 3
@@ -141,6 +145,14 @@ class TestCliExitCodes:
         argv = ("--seed", 1, "cv", "--pipeline", "C", "--modes", 1, "--shots", 1, "--homodyne-s", s, "--out", out)
         assert run_cli(*argv) == 2
         assert "homodyne_s must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("tor", "{state}/kernel.json"),
+                                      ("--seed", "1", "sample", "{state}", "-n", "3", "--out", "{state}/x.jsonl")])
+    def test_path_under_a_regular_file_is_format_error(self, tmp_path, argv):
+        # NotADirectoryError, like any OSError on a path, is a file problem, not a traceback
+        state_path = tmp_path / "sq.json"
+        save_state(squeezed_state([0.5, 0.5]), state_path)
+        assert run_cli(*(a.format(state=state_path) for a in argv)) == 3
 
     def test_success_is_zero(self, tmp_path):
         path = tmp_path / "kernel.json"
@@ -405,9 +417,35 @@ class TestCliImport:
         options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
         assert options == {"-h", "--help", "--seed", "--tolerance"}
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs most of a CLI call's start-up; only cold paths import it, lazily
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        code = "import sys, gbsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy costs most of a CLI call's start-up; only cv and validate import it, lazily
+        code = "import sys, gbsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        ("argv", "loads_scipy"),
+        [
+            (("prob", "{state}", "--pattern", "1"), False),
+            (("dist", "{state}"), False),
+            (("--seed", "1", "sample", "{state}", "-n", "5", "--out", "{dir}/s.jsonl"), False),
+            (("herald", "{state}", "--click", "1"), False),
+            (("tor", "{kernel}"), False),
+            (("--seed", "1", "cv", "--pipeline", "D", "--modes", "2", "--shots", "2", "--heralds", "1",
+              "--out", "{dir}/d.jsonl"), True),
+        ],
+    )
+    def test_command_from_cold_start(self, tmp_path, argv, loads_scipy):
+        # a fresh interpreter per command: only cv reaches scipy, and its lazy import works from cold
+        state_path, kernel_path = tmp_path / "sq.json", tmp_path / "kernel.json"
+        save_state(squeezed_state([0.5, 0.5]), state_path)
+        t = math.tanh(1.0)
+        save_matrix(np.array([[0, t], [t, 0]], dtype=complex), kernel_path)
+        code = ("import json, sys\nfrom gbsim.cli import main\nexit_code = main(sys.argv[1:])\n"
+                "print(json.dumps([exit_code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+        args = [a.format(state=state_path, kernel=kernel_path, dir=tmp_path) for a in argv]
+        out = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(), cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        exit_code, scipy_modules = json.loads(out.stdout.strip().splitlines()[-1])
+        assert exit_code == 0
+        assert bool(scipy_modules) == loads_scipy
