@@ -23,6 +23,7 @@ from .torontonian import torontonian
 
 REPEATS = 5
 FIT_SKIP = 2  # smallest sizes excluded from the doubling-factor fit
+SAMPLER_MODES = 16  # modes of the sampler benchmark's state, the most clicks it can force
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def bench_torontonian(sizes, seed, repeats=REPEATS):
     return _sweep("tor", sizes, timed_call, repeats)
 
 
-def bench_sampler(click_counts, seed, modes=16, repeats=REPEATS):
+def bench_sampler(click_counts, seed, repeats=REPEATS):
     """Time one forced-path sample with a growing number of clicks.
 
     Clicks are forced on the lowest-index modes, which are measured last,
@@ -87,13 +88,12 @@ def bench_sampler(click_counts, seed, modes=16, repeats=REPEATS):
     tracks 2^clicks.
     """
     click_counts = sorted(int(k) for k in click_counts)
-    if click_counts and click_counts[-1] > 16:
-        raise ValueError("sampler benchmark limited to 16 forced clicks")
-    modes = max(modes, click_counts[-1] if click_counts else 1)
-    state = random_state(modes, np.random.default_rng(seed), max_squeezing=0.5)
+    if click_counts and click_counts[-1] > SAMPLER_MODES:
+        raise ValueError(f"sampler benchmark limited to {SAMPLER_MODES} forced clicks")
+    state = random_state(SAMPLER_MODES, np.random.default_rng(seed), max_squeezing=0.5)
 
     def timed_call(k):
-        pattern = ClickPattern(modes, tuple(range(1, k + 1)))
+        pattern = ClickPattern(SAMPLER_MODES, tuple(range(1, k + 1)))
         return lambda: chain_rule_probability(state, pattern)
 
     return _sweep("sample", click_counts, timed_call, repeats)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ PHYSICALITY_TOL = 1e-10
 CONDITION_WARN = 1e8
 CONDITION_LIMIT = 1e14
 CLAMP_TOL = 1e-10
+UNITARY_TOL = 1e-10
 
 
 def symplectic_form(modes):
@@ -225,15 +226,14 @@ class ComplexUnitary:
     """An l x l unitary describing a linear interferometer."""
 
     matrix: np.ndarray
-    tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.matrix, dtype=complex)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError("unitary must be square")
         defect = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
-        if defect > self.tol:
-            raise ValueError(f"matrix is not unitary: defect {defect:.3e} > {self.tol:.1e}")
+        if defect > UNITARY_TOL:
+            raise ValueError(f"matrix is not unitary: defect {defect:.3e} > {UNITARY_TOL:.1e}")
         U = U.copy()
         U.setflags(write=False)
         object.__setattr__(self, "matrix", U)
@@ -296,11 +296,15 @@ def haar_unitary(modes, rng):
     return ComplexUnitary(q * (d / np.abs(d)))
 
 
+def _husimi_matrix(V):
+    """Sigma = (1/4) C V C^dag + 1/2 in the (alpha, alpha*) layout, for a 2l x 2l xxpp covariance V."""
+    C = _conversion_matrix(len(V) // 2)
+    return 0.25 * C @ V @ C.conj().T + 0.5 * np.eye(len(V))
+
+
 def husimi_covariance(state):
     """Husimi covariance Sigma = (1/4) C V C^dag + 1/2 in the (alpha, alpha*) layout."""
-    C = _conversion_matrix(state.modes)
-    sigma = 0.25 * C @ state.V @ C.conj().T + 0.5 * np.eye(2 * state.modes)
-    return HusimiCovariance(state.modes, sigma)
+    return HusimiCovariance(state.modes, _husimi_matrix(state.V))
 
 
 def quadrature_covariance(sigma):
@@ -388,9 +392,7 @@ def validate_state(state_or_v):
     sym = float(np.abs(V - V.T).max() / max(1.0, np.abs(V).max()))
     Vs = 0.5 * (V + V.T)
     low = min_physicality_eigenvalue(Vs)
-    C = _conversion_matrix(modes)
-    sigma = 0.25 * C @ Vs @ C.conj().T + 0.5 * np.eye(2 * modes)
-    sig_eigs = np.linalg.eigvalsh(sigma)
+    sig_eigs = np.linalg.eigvalsh(_husimi_matrix(Vs))
     cond_sigma = float(sig_eigs[-1] / max(sig_eigs[0], np.finfo(float).tiny))
     v_eigs = np.abs(np.linalg.eigvalsh(Vs))
     cond_v = float(v_eigs.max() / max(v_eigs.min(), np.finfo(float).tiny))

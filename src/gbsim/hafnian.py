@@ -15,8 +15,8 @@ with the naive evaluator (exercised in the test suite and by the
 The subset sum runs on the power-set engine of ``torontonian``: masks in
 chunks, each chunk grouped by popcount, the power traces of every group
 taken by batched matrix powers and the exp-of-power-sums recurrence run over
-the whole group, the signed terms summed exactly by fsum. The same engine
-gives ``hafnian_from_torontonian`` through ``torontonian_series``.
+the whole group, then one exact fsum over all 2^l signed terms. The same
+engine gives ``hafnian_from_torontonian`` through ``torontonian_series``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,16 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError
-from .gaussian import KernelMatrix, block_swap
-from .torontonian import _as_kernel, _chunk_terms, _exp_series, _power_traces, _powerset_sum, torontonian_series
+from .gaussian import KernelMatrix
+from .torontonian import (
+    _as_kernel,
+    _chunk_terms,
+    _exp_series,
+    _fsum,
+    _power_traces,
+    _powerset_terms,
+    torontonian_series,
+)
 
 NAIVE_MAX_DIM = 16  # (2m-1)!! growth; oracle scale
 POWERSET_MAX_DIM = 30
@@ -78,12 +86,9 @@ def hafnian_powerset(A):
     if n > POWERSET_MAX_DIM:
         raise ValueError(f"power-set Hafnian limited to dimension {POWERSET_MAX_DIM}")
     half = n // 2
-    if _WRONG_REDUCTION:
-        AX = A  # deliberately broken arrangement for the mutation test
-    else:
-        AX = A[:, list(range(half, n)) + list(range(half))]
+    AX = A if _WRONG_REDUCTION else A[:, np.r_[half:n, 0:half]]  # unswapped A: the mutation test's bug
     terms_of = partial(_chunk_terms, AX, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])
-    total = _powerset_sum(terms_of, half)[0]
+    total = _fsum(_powerset_terms(terms_of, half))
     return complex(-total if _SIGN_FLIP else total)
 
 
@@ -106,9 +111,7 @@ def hafnian_xo(O):
     """
     mat = np.asarray(O.matrix if isinstance(O, KernelMatrix) else O, dtype=complex)
     modes = mat.shape[0] // 2
-    if modes == 0:
-        return 1.0
-    value = hafnian_powerset(block_swap(modes) @ mat)
+    value = hafnian_powerset(mat[np.r_[modes:2 * modes, 0:modes]])  # X O: the two row blocks swapped
     # power-trace roundoff leaves a tiny imaginary residue on large reductions
     if abs(value.imag) > 1e-6 * max(1.0, abs(value.real)):
         raise NumericalError(f"Haf(XO) should be real for physical kernels, got {value}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,13 +34,15 @@ from .gaussian import (
     reduce_matrix,
     squeezed_state,
     sqrt_det_sigma,
+    symplectic_form,
 )
 from .hafnian import hafnian_xo
-from .torontonian import _chunk_terms, _eta_series, _minor_terms, _real_form, _subset_sums, torontonian
+from .torontonian import _chunk_terms, _eta_series, _minor_terms, _powerset_terms, _real_form, _subset_sums, torontonian
 
 ENUMERATION_MODES = 12
 COLLISION_MODES = 10
 PURITY_TOL = 1e-8
+PHOTON_TAIL_TOL = 1e-12
 
 
 def _require_zero_mean(state):
@@ -191,7 +194,7 @@ def distribution(state):
     if state.modes > ENUMERATION_MODES:
         raise ValueError(f"full enumeration limited to {ENUMERATION_MODES} modes")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(_minor_terms(_real_form(kernel.matrix))).tolist()
+    tor = _subset_sums(_powerset_terms(partial(_minor_terms, _real_form(kernel.matrix)), state.modes)).tolist()
     table = {}
     for clicked, value in zip(_click_patterns(state.modes), tor):
         table[clicked] = _clamp_probability(value / sqdet, f"distribution{clicked}")
@@ -209,7 +212,7 @@ class PhotonMoments:
     distribution: np.ndarray  # q(N) for N = 0..cutoff
 
 
-def photon_moments(r_vec, cutoff, tail_tol=1e-12):
+def photon_moments(r_vec, cutoff):
     """Total-photon-number moments for squeezed-vacuum inputs.
 
     Builds each mode's photon-number law (even counts only), convolves
@@ -224,8 +227,8 @@ def photon_moments(r_vec, cutoff, tail_tol=1e-12):
         pmf = _squeezed_pmf(r, cutoff)
         q = np.convolve(q, pmf)[: cutoff + 1]
     tail = max(0.0, 1.0 - float(q.sum()))
-    if tail > tail_tol:
-        raise ValueError(f"photon cutoff {cutoff} leaves tail {tail:.3e} > {tail_tol:.0e}")
+    if tail > PHOTON_TAIL_TOL:
+        raise ValueError(f"photon cutoff {cutoff} leaves tail {tail:.3e} > {PHOTON_TAIL_TOL:.0e}")
     ns = np.arange(cutoff + 1)
     mean = float(np.dot(q, ns))
     second = float(np.dot(q, ns ** 2))
@@ -256,14 +259,18 @@ def _effective_squeezings(state):
     The eigenvalues of a pure covariance come in exp(+-2 r_j) pairs; mixed
     states (symplectic eigenvalues above 1) are rejected.
     """
-    from .gaussian import symplectic_form
-
     nus = np.abs(np.linalg.eigvals(1j * symplectic_form(state.modes) @ state.V))
     nus = np.sort(nus)[: state.modes]
     if np.abs(nus - 1).max() > PURITY_TOL:
-        raise ValueError("photon moments from the covariance require a pure state")
+        raise ValueError("the photon-number tail bound requires a pure state")
     eigs = np.sort(np.linalg.eigvalsh(state.V))[::-1][: state.modes]
     return 0.5 * np.log(eigs)
+
+
+def _covariance_photon_moments(V):
+    """E[N] = (tr V - 2l) / 4 and E[N^2] = (tr V^2 - 2l) / 8 + E[N]^2 of any zero-mean state (vacuum V = 1)."""
+    mean = float(np.trace(V) - len(V)) / 4
+    return mean, float(np.trace(V @ V) - len(V)) / 8 + mean ** 2
 
 
 def _auto_photon_moments(r_vec):
@@ -307,7 +314,8 @@ def collision_probability(state, photon_cutoff="auto"):
     PNR and threshold distributions up to ``photon_cutoff`` total photons
     ("auto": 8 for l <= 4, skipped above; None: always skipped) comes from
     the same series pass as the gaps; it matches epsilon within the
-    reported residual bound.
+    reported residual bound. Only the L1 route needs a pure state: the
+    photon moments and the Haar bound come from the covariance.
     """
     _require_zero_mean(state)
     if state.modes > COLLISION_MODES:
@@ -317,26 +325,26 @@ def collision_probability(state, photon_cutoff="auto"):
     if photon_cutoff is not None and photon_cutoff < state.modes:
         raise ValueError("photon cutoff must reach the mode count for the L1 route")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(_minor_terms(_real_form(kernel.matrix))).tolist()
+    tor = _subset_sums(_powerset_terms(partial(_minor_terms, _real_form(kernel.matrix)), state.modes)).tolist()
     order = state.modes if photon_cutoff is None else photon_cutoff
-    series = _subset_sums(_chunk_terms(kernel.matrix, _eta_series(order)))
+    series = _subset_sums(_powerset_terms(partial(_chunk_terms, kernel.matrix, _eta_series(order)), state.modes))
     gaps = {}
     for mask, clicked in enumerate(_click_patterns(state.modes)):
         haf = float(series[mask, len(clicked)])  # Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S))
         gaps[clicked] = (tor[mask] - haf) / sqdet
     epsilon = min(max(math.fsum(gaps.values()), 0.0), 1.0)
-    moments = _auto_photon_moments(_effective_squeezings(state))
-    bound = 8.0 * moments.second_moment / state.modes
+    mean, second = _covariance_photon_moments(state.V)
     l1 = residual = None
     if photon_cutoff is not None:
+        moments = _auto_photon_moments(_effective_squeezings(state))
         l1, residual = _l1_patternwise(gaps, series, sqdet, moments, photon_cutoff)
     return CollisionReport(
         modes=state.modes,
         epsilon=epsilon,
         gaps=gaps,
-        mean_photons=moments.mean,
-        mean_photons_sq=moments.second_moment,
-        haar_bound=bound,
+        mean_photons=mean,
+        mean_photons_sq=second,
+        haar_bound=8.0 * second / state.modes,
         l1_patternwise=l1,
         photon_cutoff=photon_cutoff,
         residual_bound=residual,
@@ -397,7 +405,7 @@ def haar_collision_experiment(modes, r_vec, trials, rng):
     eps = np.asarray(eps)
     mean = float(eps.mean())
     stderr = float(eps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    bound = 8.0 * _auto_photon_moments(r_vec).second_moment / modes
+    bound = 8.0 * _covariance_photon_moments(base.V)[1] / modes
     if mean > bound + 1e-12:
         raise NumericalError(f"sample mean collision probability {mean:.6g} exceeds the bound {bound:.6g}")
     return HaarCollisionResult(modes, trials, mean, stderr, bound, tuple(eps.tolist()))

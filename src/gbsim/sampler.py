@@ -27,9 +27,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .gaussian import ClickPattern, QuadratureState, _as_click_pattern, _checked_symplectic, _clamp_probability
+from .gaussian import (
+    ClickPattern,
+    QuadratureState,
+    _as_click_pattern,
+    _checked_symplectic,
+    _clamp_probability,
+    min_physicality_eigenvalue,
+)
 
 WEIGHT_TOL = 1e-9
+MIXTURE_PHYSICALITY_TOL = 1e-8  # GaussianMixture.validate: min eig(V + i Omega) floor
 MIN_EVENT_PROB = 1e-300
 _VACUUM_W = np.eye(2)  # vacuum projection is a heterodyne at outcome 0
 
@@ -126,12 +134,10 @@ class GaussianMixture:
     def clicked_labels(self):
         return tuple(label for label, outcome in self.history if outcome)
 
-    def validate(self, tol=1e-8):
+    def validate(self):
         """Check every branch covariance against the uncertainty relation."""
-        from .gaussian import min_physicality_eigenvalue
-
         worst = min(min_physicality_eigenvalue(V) for V in self.covs)
-        if worst < -tol:
+        if worst < -MIXTURE_PHYSICALITY_TOL:
             raise NumericalError(f"mixture branch violates physicality: min eig {worst:.3e}")
         return worst
 

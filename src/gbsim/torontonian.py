@@ -10,14 +10,14 @@ kept subset so that the empty subset contributes (-1)^N; with this
 convention Tor is a probability weight: Tor([[0, t], [t, 0]]) = 1/sqrt(1 - t^2) - 1.
 
 One engine evaluates every signed sum of this shape over the masks in
-bitmask order (mask 0 .. 2^N - 1, bit k = mode k+1), in chunks of
-2^CHUNK_BITS. The Torontonian's terms come from one Schur-complement tree
-over ``_real_form(O)``, the real xxpp form of 1 - O, in O(1) amortised work
-per subset (Griffin-Tsatsomeros, Linear Algebra Appl. 416, 2006). Its eta
-series and the power-set Hafnian in ``hafnian`` take batched complex
-matrix-power traces of each chunk's blocks. Each chunk is summed exactly
-(Shewchuk/fsum) and the chunk partials are reduced in index order, so
-every result is bitwise reproducible.
+bitmask order (mask 0 .. 2^N - 1, bit k = mode k+1). It fills one array with
+all 2^N terms, 2^CHUNK_BITS masks at a time, and each result is one exact
+(Shewchuk/fsum) sum of that array, so the chunk size bounds working memory
+and never moves a result. The Torontonian's terms come from one
+Schur-complement tree over ``_real_form(O)``, the real xxpp form of 1 - O,
+in O(1) amortised work per subset (Griffin-Tsatsomeros, Linear Algebra
+Appl. 416, 2006). Its eta series and the power-set Hafnian in ``hafnian``
+take batched complex matrix-power traces of each chunk's blocks.
 
 Every reduced kernel O_(S) has its terms among those of O, so the same
 2^N terms give the sums for all O_(S) at once (``_subset_sums``, the subset
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NumericalError, PhysicalityError
 from .gaussian import KernelMatrix
 
-CHUNK_BITS = 13  # 8192 subsets per summation chunk
+CHUNK_BITS = 13  # 8192 subsets per batch of terms: bounds working memory only
 CANCELLATION_RATIO = 1e12
 
 # Flipped by the validation mutation tests only; never set in production code.
@@ -75,14 +75,14 @@ def _subset_indices(masks, modes):
     return np.concatenate([idx, idx + modes], axis=1)
 
 
-def _chunk_terms(M, evaluate, start=0, stop=None):
-    """Signed terms (-1)^(N - |Z|) evaluate(M_(Z)) for masks in [start, stop) (default all 2^N), in mask order.
+def _chunk_terms(M, evaluate, start, stop):
+    """Signed terms (-1)^(N - |Z|) evaluate(M_(Z)) for masks in [start, stop), in mask order.
 
     ``evaluate`` maps a (B, 2k, 2k) stack of reduced blocks, all of one subset size k, to B values of any
     trailing shape; the empty subset arrives as a (B, 0, 0) stack.
     """
     modes = M.shape[0] // 2
-    masks = np.arange(start, 1 << modes if stop is None else stop, dtype=np.int64)
+    masks = np.arange(start, stop, dtype=np.int64)
     sizes = np.bitwise_count(masks)
     terms = None
     for k in np.unique(sizes):
@@ -95,8 +95,8 @@ def _chunk_terms(M, evaluate, start=0, stop=None):
     return terms
 
 
-def _minor_terms(R, start=0, stop=None):
-    """Signed terms (-1)^(N - |Z|) det(R_(Z))^(-1/2) for masks in [start, stop) (default all 2^N), in mask order.
+def _minor_terms(R, start, stop):
+    """Signed terms (-1)^(N - |Z|) det(R_(Z))^(-1/2) for masks in [start, stop), in mask order.
 
     A pivot tree over R's (x_j, p_j) pairs, highest mode first: each node's "out" child drops its leading 2x2
     block P and flips the sign, its "in" child takes the Schur complement and divides by sqrt(det P). Levels
@@ -104,7 +104,7 @@ def _minor_terms(R, start=0, stop=None):
     term of Z is bit for bit the same in the tree of every R_(S) with Z in S.
     """
     modes = R.shape[0] // 2
-    low = ((1 << modes if stop is None else stop) - start).bit_length() - 1
+    low = (stop - start).bit_length() - 1
     order = (np.arange(modes)[::-1, None] + [0, modes]).ravel()
     M = R[order[:, None], order][:, :, None]  # nodes along the last axis
     factor = np.ones(1)
@@ -137,34 +137,26 @@ def _fsum(terms):
     return np.array([math.fsum(column) for column in terms.T])
 
 
-def _chunk_size(modes):
-    return 1 << min(modes, CHUNK_BITS)
+def _powerset_terms(terms_of, modes):
+    """All 2^N signed terms ``terms_of(start, stop)`` (``_minor_terms`` or ``_chunk_terms``), in mask order.
 
-
-def _powerset_sum(terms_of, modes):
-    """Signed sum of the terms ``terms_of(start, stop)`` of all 2^N masks (``_minor_terms`` or ``_chunk_terms``).
-
-    Returns (sum, largest term magnitude, sum of term magnitudes). Each
-    chunk is summed exactly and the chunk partials are reduced in index
-    order, so all three are bitwise reproducible.
+    The array is filled 2^CHUNK_BITS masks at a time; each consumer sums it once.
     """
-    total = 1 << modes
-    chunk = _chunk_size(modes)
-
-    def run(start):
-        terms = terms_of(start, min(start + chunk, total))
-        magnitudes = np.abs(terms)
-        return _fsum(terms), float(magnitudes.max()), magnitudes.sum(axis=0)
-
-    sums, maxima, magnitudes = zip(*[run(s) for s in range(0, total, chunk)])
-    return _fsum(np.array(sums)), max(maxima), _fsum(np.array(magnitudes))
+    total, chunk = 1 << modes, 1 << min(modes, CHUNK_BITS)
+    terms = None
+    for start in range(0, total, chunk):
+        batch = terms_of(start, start + chunk)
+        if terms is None:
+            terms = np.empty((total,) + batch.shape[1:], dtype=batch.dtype)
+        terms[start:start + chunk] = batch
+    return terms
 
 
 def _subset_sums(terms):
     """The engine's signed sum for every M_(S), one row per S in bitmask order, from the 2^N terms of M.
 
-    ``terms`` are all 2^N ``_minor_terms`` or ``_chunk_terms`` of M. Row S is (-1)^(N - |S|) times the exact sum
-    of the terms of the submasks of S, so bit for bit the engine's sum for M_(S) while M_(S) fits one chunk.
+    ``terms`` are the ``_powerset_terms`` of M. Row S is (-1)^(N - |S|) times the exact sum of the terms of the
+    submasks of S, so bit for bit the engine's sum for M_(S).
     """
     modes = len(terms).bit_length() - 1
     sets = np.arange(len(terms), dtype=np.int64)
@@ -241,16 +233,18 @@ def torontonian(O):
     modes = O.modes
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
-    value, max_term, magnitude = _powerset_sum(partial(_minor_terms, _real_form(O.matrix)), modes)
-    value = -value if _SIGN_FLIP else value
+    terms = _powerset_terms(partial(_minor_terms, _real_form(O.matrix)), modes)
+    value = -math.fsum(terms) if _SIGN_FLIP else math.fsum(terms)
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
+    np.abs(terms, out=terms)
+    magnitude = float(np.sum(terms))
     scale = max(abs(value), np.finfo(float).tiny)
     return TorontonianResult(
         value=value,
         terms=1 << modes,
-        max_term_magnitude=max_term,
-        summation=f"chunked-fsum({_chunk_size(modes)})/ordered-reduce",
+        max_term_magnitude=float(terms.max()),
+        summation="fsum",
         cancellation_warning=bool(magnitude > CANCELLATION_RATIO * scale),
         error_estimate=2.0 ** -53 * magnitude / scale,
     )
@@ -266,5 +260,5 @@ def torontonian_series(O, order):
     if order < 0:
         raise ValueError("order must be nonnegative")
     O = _as_kernel(O)
-    coeffs = _powerset_sum(partial(_chunk_terms, O.matrix, _eta_series(order)), O.modes)[0]
+    coeffs = _fsum(_powerset_terms(partial(_chunk_terms, O.matrix, _eta_series(order)), O.modes))
     return -coeffs if _SIGN_FLIP else coeffs

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import random_state
+from .gaussian import random_state, reduce_matrix
 from .hafnian import hafnian_naive, hafnian_powerset, hafnian_from_torontonian, hafnian_xo
 from .probabilities import (
     collision_probability,
@@ -147,8 +147,6 @@ def check_torhaf_convergence(rng, cutoff=10):
     result = tor_as_hafnian_sum(state, (1, 2), cutoff)
     sums = [s for _, s in result.partial_sums]
     monotone = all(b >= a - 1e-12 for a, b in zip(sums, sums[1:]))
-    from .gaussian import reduce_matrix
-
     target = torontonian(reduce_matrix(kernel.matrix, (1, 1))).value
     gap = abs(result.value - target)
     passed = monotone and gap <= result.residual_bound + 1e-9

@@ -275,6 +275,27 @@ class TestCollision:
                 expect = threshold_prob(state, clicked) - pnr_prob(state, counts)
                 assert gap == pytest.approx(expect, abs=1e-12)
 
+    def test_mixed_state(self):
+        # the gaps and the photon moments need no pure state
+        state = random_state(5, np.random.default_rng(9), pure=False)
+        report = collision_probability(state, photon_cutoff=None)
+        for clicked, gap in report.gaps.items():
+            counts = tuple(int(i + 1 in clicked) for i in range(5))
+            assert gap == pytest.approx(threshold_prob(state, clicked) - pnr_prob(state, counts), abs=1e-12)
+        assert report.mean_photons_sq > report.mean_photons ** 2 > 0
+        assert report.haar_bound == 8 * report.mean_photons_sq / 5
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_photon_moments_match_pnr_sums(self, pure):
+        # every PNR outcome of up to 10 photons, one pnr_prob each: the rest carries below 1e-7 of the probability
+        state = random_state(2, np.random.default_rng(3), pure=pure, max_squeezing=0.2, max_thermal=0.1)
+        outcomes = [(n, pnr_prob(state, (k, n - k))) for n in range(11) for k in range(n + 1)]
+        mean = math.fsum(n * p for n, p in outcomes)
+        second = math.fsum(n * n * p for n, p in outcomes)
+        report = collision_probability(state, photon_cutoff=None)
+        assert mean <= report.mean_photons == pytest.approx(mean, rel=1e-4)
+        assert second <= report.mean_photons_sq == pytest.approx(second, rel=1e-4)
+
     def test_scale_guard(self):
         with pytest.raises(ValueError):
             collision_probability(vacuum_state(11))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from gbsim import (
     PhysicalityError,
     apply_interferometer,
+    distribution,
     haar_unitary,
     hafnian_from_torontonian,
     hafnian_naive,
+    hafnian_powerset,
     husimi_covariance,
     kernel_matrix,
     reduce_matrix,
@@ -139,12 +142,25 @@ class TestTorontonianValues:
         values = [torontonian(eta * O).value for eta in np.linspace(0, 1, 11)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_chunk_partials_reduce_in_index_order(self, rng):
-        # 14 modes span two 8192-mask chunks: each is summed exactly, then the partials in index order
-        O = kernel_of(random_state(14, rng, max_squeezing=0.4))
-        R = _real_form(O.matrix)
-        partials = [math.fsum(_minor_terms(R, s, s + 8192)) for s in (0, 8192)]
-        assert torontonian(O).value == math.fsum(partials)
+    @pytest.mark.parametrize("modes", [10, 11, 12])
+    def test_chunk_bits_never_move_a_result(self, monkeypatch, modes):
+        # 2^3-mask chunks instead of one chunk: every result is one exact sum over all 2^N terms
+        state = random_state(modes, np.random.default_rng(modes), max_squeezing=0.3)
+        O = kernel_of(state)
+
+        def results():
+            tor = torontonian(O)
+            return (
+                (tor.value, tor.max_term_magnitude, tor.error_estimate),
+                torontonian_series(O, modes).tolist(),
+                hafnian_powerset(block_swap(modes) @ O.matrix),
+                distribution(state).items_sorted(),
+            )
+
+        default = results()
+        # the package re-exports a function named like the module
+        monkeypatch.setattr(sys.modules["gbsim.torontonian"], "CHUNK_BITS", 3)
+        assert results() == default
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0, 0.3], [0.2, 0]], dtype=complex)
@@ -192,13 +208,13 @@ class TestTorontonianValues:
 
 class TestRealForm:
     def test_empty_block(self):
-        assert _minor_terms(np.zeros((0, 0)))[-1] == 1.0
+        assert _minor_terms(np.zeros((0, 0)), 0, 1)[-1] == 1.0
 
     def test_vacuum_block(self):
-        assert _minor_terms(_real_form(np.zeros((2, 2))))[-1] == pytest.approx(1.0)
+        assert _minor_terms(_real_form(np.zeros((2, 2))), 0, 2)[-1] == pytest.approx(1.0)
 
     def test_squeezed_block(self):
-        value = _minor_terms(_real_form(squeezed_kernel(1.0)))[-1] ** -2
+        value = _minor_terms(_real_form(squeezed_kernel(1.0)), 0, 2)[-1] ** -2
         assert value == pytest.approx(1 - math.tanh(1.0) ** 2, rel=1e-12)
         assert value == pytest.approx(0.419974, abs=5e-7)
 
@@ -211,7 +227,7 @@ class TestRealForm:
         ]
         for state in states:
             R = _real_form(kernel_of(state).matrix)
-            np.testing.assert_allclose(_minor_terms(R), slogdet_terms(R), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(_minor_terms(R, 0, 1 << modes), slogdet_terms(R), rtol=1e-12, atol=0)
 
     def test_tree_spans_chunks(self):
         # 15 modes: four chunks of 8192 subsets, each entered along its own path.
