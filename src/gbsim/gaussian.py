@@ -189,11 +189,11 @@ def _as_click_pattern(state, pattern):
 
 
 def _clamp_probability(p, where):
-    """``p`` clipped to [0, 1]; raises beyond CLAMP_TOL, logs a warning when it clips."""
+    """``p`` clipped to [0, 1]; raises beyond CLAMP_TOL. A clip inside it is roundoff, logged at DEBUG."""
     if not -CLAMP_TOL <= p <= 1 + CLAMP_TOL:
         raise NumericalError(f"{where}: probability {p!r} outside [0, 1] beyond tolerance")
     if p < 0 or p > 1:
-        log.warning("%s: clamped probability %.3e to [0, 1]", where, p)
+        log.debug("%s: clamped probability %.3e to [0, 1]", where, p)
     return min(max(p, 0.0), 1.0)
 
 

@@ -9,6 +9,8 @@ The whole distribution and the collision gaps take Tor(O_(S)) and
 Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S)) for every click set S from one
 power-set engine pass each over the full kernel; the higher coefficients
 of the same series give the collision patterns' PNR sums for the L1 distance.
+The full kernel's own series, det(1 - eta O)^(-1/2) / sqrt(det Sigma), is the
+total photon-number law of any zero-mean state, pure or mixed; every tail bound takes it.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ from .gaussian import (
     reduce_matrix,
     squeezed_state,
     sqrt_det_sigma,
-    symplectic_form,
 )
 from .hafnian import hafnian_xo
-from .torontonian import _chunk_terms, _eta_series, _minor_terms, _powerset_terms, _real_form, _subset_sums, torontonian
+from .torontonian import _chunk_terms, _eta_series, _powerset_terms, _subset_sums, _tor_terms, torontonian
 
 ENUMERATION_MODES = 12
 COLLISION_MODES = 10
-PURITY_TOL = 1e-8
 PHOTON_TAIL_TOL = 1e-12
 
 
@@ -132,7 +132,7 @@ def tor_as_hafnian_sum(state, pattern, photon_cutoff):
     on the click set, with total photons up to ``photon_cutoff``. Partial
     sums increase monotonically toward the Torontonian; the residual bound
     is sqrt(det Sigma) times the probability of more than ``photon_cutoff``
-    total photons.
+    total photons, from the state's photon-number law (``_photon_law``).
     """
     _require_zero_mean(state)
     pattern = _as_click_pattern(state, pattern)
@@ -151,9 +151,7 @@ def tor_as_hafnian_sum(state, pattern, photon_cutoff):
     if pattern.size == 0:
         partials = [(0, 1.0)]
         running = 1.0
-    moments = _auto_photon_moments(_effective_squeezings(state))
-    tail = float(moments.distribution[photon_cutoff + 1:].sum()) + moments.tail_bound
-    return TorHafnianSum(pattern, tuple(partials), running, sqdet * tail)
+    return TorHafnianSum(pattern, tuple(partials), running, sqdet * _photon_law(kernel, sqdet, photon_cutoff)[1])
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def distribution(state):
     if state.modes > ENUMERATION_MODES:
         raise ValueError(f"full enumeration limited to {ENUMERATION_MODES} modes")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(_powerset_terms(partial(_minor_terms, _real_form(kernel.matrix)), state.modes)).tolist()
+    tor = _subset_sums(_tor_terms(kernel.matrix)).tolist()
     table = {}
     for clicked, value in zip(_click_patterns(state.modes), tor):
         table[clicked] = _clamp_probability(value / sqdet, f"distribution{clicked}")
@@ -215,18 +213,13 @@ class PhotonMoments:
 def photon_moments(r_vec, cutoff):
     """Total-photon-number moments for squeezed-vacuum inputs.
 
-    Builds each mode's photon-number law (even counts only), convolves
-    them into q(N), and reports E[N], E[N^2] and the truncation tail. The
-    truncated moments are checked against the closed forms
-    E[n_i] = sinh^2(r_i), Var[n_i] = sinh^2(2 r_i)/2.
+    Takes q(N) of ``squeezed_state(r_vec)`` from ``_photon_law`` and reports
+    E[N], E[N^2] and the truncation tail. The truncated moments are checked
+    against the closed forms E[n_i] = sinh^2(r_i), Var[n_i] = sinh^2(2 r_i)/2.
     """
     r_vec = np.atleast_1d(np.asarray(r_vec, dtype=float))
-    q = np.zeros(cutoff + 1)
-    q[0] = 1.0
-    for r in r_vec:
-        pmf = _squeezed_pmf(r, cutoff)
-        q = np.convolve(q, pmf)[: cutoff + 1]
-    tail = max(0.0, 1.0 - float(q.sum()))
+    _, kernel, sqdet = state_kernel(squeezed_state(r_vec))
+    q, tail = _photon_law(kernel, sqdet, cutoff)
     if tail > PHOTON_TAIL_TOL:
         raise ValueError(f"photon cutoff {cutoff} leaves tail {tail:.3e} > {PHOTON_TAIL_TOL:.0e}")
     ns = np.arange(cutoff + 1)
@@ -241,48 +234,19 @@ def photon_moments(r_vec, cutoff):
     return PhotonMoments(mean, second, tail, q)
 
 
-def _squeezed_pmf(r, cutoff):
-    """Photon-number law of one squeezed vacuum up to ``cutoff``."""
-    pmf = np.zeros(cutoff + 1)
-    t2 = math.tanh(r) ** 2
-    term = 1.0 / math.cosh(r)
-    pmf[0] = term
-    for m in range(1, cutoff // 2 + 1):
-        term *= t2 * (2 * m - 1) / (2 * m)
-        pmf[2 * m] = term
-    return pmf
+def _photon_law(kernel, sqdet, cutoff):
+    """Law P(N = n), n = 0..cutoff, of the total photon number of a zero-mean state, and its tail P(N > cutoff).
 
-
-def _effective_squeezings(state):
-    """Squeezing parameters of the pure normal modes of a zero-mean state.
-
-    The eigenvalues of a pure covariance come in exp(+-2 r_j) pairs; mixed
-    states (symplectic eigenvalues above 1) are rejected.
+    P(N = n) = [eta^n] det(1 - eta O)^(-1/2) / sqrt(det Sigma): the full-kernel term of the engine's eta series.
     """
-    nus = np.abs(np.linalg.eigvals(1j * symplectic_form(state.modes) @ state.V))
-    nus = np.sort(nus)[: state.modes]
-    if np.abs(nus - 1).max() > PURITY_TOL:
-        raise ValueError("the photon-number tail bound requires a pure state")
-    eigs = np.sort(np.linalg.eigvalsh(state.V))[::-1][: state.modes]
-    return 0.5 * np.log(eigs)
+    law = _eta_series(cutoff)(kernel.matrix[None])[0] / sqdet
+    return law, max(0.0, 1.0 - math.fsum(law))
 
 
 def _covariance_photon_moments(V):
     """E[N] = (tr V - 2l) / 4 and E[N^2] = (tr V^2 - 2l) / 8 + E[N]^2 of any zero-mean state (vacuum V = 1)."""
     mean = float(np.trace(V) - len(V)) / 4
     return mean, float(np.trace(V @ V) - len(V)) / 8 + mean ** 2
-
-
-def _auto_photon_moments(r_vec):
-    """``photon_moments`` at the first cutoff 16, 32, ..., 4096 that leaves a tail below 1e-12."""
-    cutoff = 16
-    while True:
-        try:
-            return photon_moments(r_vec, cutoff)
-        except ValueError:
-            cutoff *= 2
-            if cutoff > 4096:
-                raise
 
 
 @dataclass(frozen=True)
@@ -314,8 +278,9 @@ def collision_probability(state, photon_cutoff="auto"):
     PNR and threshold distributions up to ``photon_cutoff`` total photons
     ("auto": 8 for l <= 4, skipped above; None: always skipped) comes from
     the same series pass as the gaps; it matches epsilon within the
-    reported residual bound. Only the L1 route needs a pure state: the
-    photon moments and the Haar bound come from the covariance.
+    reported residual bound, half the state's photon-number tail beyond the
+    cutoff (``_photon_law``). The photon moments and the Haar bound come
+    from the covariance. Every route works on mixed states.
     """
     _require_zero_mean(state)
     if state.modes > COLLISION_MODES:
@@ -325,7 +290,7 @@ def collision_probability(state, photon_cutoff="auto"):
     if photon_cutoff is not None and photon_cutoff < state.modes:
         raise ValueError("photon cutoff must reach the mode count for the L1 route")
     sigma, kernel, sqdet = state_kernel(state)
-    tor = _subset_sums(_powerset_terms(partial(_minor_terms, _real_form(kernel.matrix)), state.modes)).tolist()
+    tor = _subset_sums(_tor_terms(kernel.matrix)).tolist()
     order = state.modes if photon_cutoff is None else photon_cutoff
     series = _subset_sums(_powerset_terms(partial(_chunk_terms, kernel.matrix, _eta_series(order)), state.modes))
     gaps = {}
@@ -336,8 +301,7 @@ def collision_probability(state, photon_cutoff="auto"):
     mean, second = _covariance_photon_moments(state.V)
     l1 = residual = None
     if photon_cutoff is not None:
-        moments = _auto_photon_moments(_effective_squeezings(state))
-        l1, residual = _l1_patternwise(gaps, series, sqdet, moments, photon_cutoff)
+        l1, residual = _l1_patternwise(gaps, series, sqdet, _photon_law(kernel, sqdet, photon_cutoff)[1])
     return CollisionReport(
         modes=state.modes,
         epsilon=epsilon,
@@ -351,24 +315,21 @@ def collision_probability(state, photon_cutoff="auto"):
     )
 
 
-def _l1_patternwise(gaps, series, sqdet, moments, cutoff):
+def _l1_patternwise(gaps, series, sqdet, tail):
     """Sum of |p(s) - p'(s)| / 2 over PNR outcomes s of up to ``cutoff`` photons, and its residual bound.
 
-    ``gaps`` and the rows of ``series`` run over the click sets S in bitmask
-    order; series[S, n] = [eta^n] Tor(eta O_(S)) is the sum of
-    Haf(X O_(s)) / prod(s_k!) over the count vectors s with support S and
-    total n. Only the collision-free outcome (n = |S|) has a threshold
-    counterpart, differing from it by the gap of S; every other outcome
-    enters with its own probability, so only the group sums series[S, n] /
-    sqrt(det Sigma), n = |S|+1..cutoff, are needed. The empty outcome and
-    click pattern coincide.
+    ``cutoff`` is the last column of ``series``. ``gaps`` and the rows of ``series`` run over the click sets S in
+    bitmask order; series[S, n] = [eta^n] Tor(eta O_(S)) is the sum of Haf(X O_(s)) / prod(s_k!) over the count
+    vectors s with support S and total n. Only the collision-free outcome (n = |S|) has a threshold counterpart,
+    differing from it by the gap of S; every other outcome enters with its own probability, so only the group sums
+    series[S, n] / sqrt(det Sigma), n = |S|+1..cutoff, are needed. The empty outcome and click pattern coincide.
+    The residual is half of ``tail``, the probability of more than ``cutoff`` photons.
     """
     terms = []
     for mask, (clicked, gap) in enumerate(gaps.items()):
         if clicked:
             terms.append(abs(gap))
             terms.extend(series[mask, len(clicked) + 1:] / sqdet)
-    tail = float(moments.distribution[cutoff + 1:].sum()) + moments.tail_bound
     return 0.5 * math.fsum(terms), 0.5 * tail + 1e-12
 
 

@@ -185,6 +185,11 @@ def _real_form(O):
     return 0.5 * (R + R.T)
 
 
+def _tor_terms(O):
+    """All 2^N signed Torontonian terms of the kernel array O, in mask order, from the pivot tree."""
+    return _powerset_terms(partial(_minor_terms, _real_form(O)), O.shape[0] // 2)
+
+
 def _power_traces(blocks, order):
     """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order), by batched matrix powers."""
     traces = np.empty((len(blocks), order), dtype=complex)
@@ -233,7 +238,7 @@ def torontonian(O):
     modes = O.modes
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
-    terms = _powerset_terms(partial(_minor_terms, _real_form(O.matrix)), modes)
+    terms = _tor_terms(O.matrix)
     value = -math.fsum(terms) if _SIGN_FLIP else math.fsum(terms)
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from gbsim import (
     haar_unitary,
     husimi_covariance,
     kernel_matrix,
+    pnr_prob,
     q_function,
     quadrature_covariance,
     reduce_matrix,
@@ -292,6 +294,16 @@ class TestClampProbability:
                 _clamp_probability(p, "test")
         else:
             assert _clamp_probability(p, "test") == expected
+
+    def test_roundoff_clamps_log_no_warning(self, caplog):
+        # a 2-mode pure state has no odd photon numbers, so their probabilities clamp from roundoff
+        state = random_state(2, np.random.default_rng(1))
+        with caplog.at_level(logging.DEBUG, logger="gbsim.gaussian"):
+            for n in range(11):
+                for k in range(n + 1):
+                    pnr_prob(state, (k, n - k))
+        assert any("clamped probability" in record.getMessage() for record in caplog.records)
+        assert not [record for record in caplog.records if record.levelno >= logging.WARNING]
 
 
 class TestRoundTripInvariants:

@@ -306,6 +306,13 @@ class TestCliCollision:
         assert out["photon_cutoff"] == 8
         assert abs(out["l1_patternwise"] - out["epsilon"]) <= out["residual_bound"]
 
+    def test_mixed_state(self, tmp_path, capsys):
+        state_path = tmp_path / "mixed3.json"
+        save_state(random_state(3, np.random.default_rng(9), pure=False), state_path)
+        assert run_cli("collision", state_path) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["l1_patternwise"] - out["epsilon"]) <= out["residual_bound"]
+
 
 class TestCliCv:
     def test_pipeline_a_deterministic(self, tmp_path, capsys):

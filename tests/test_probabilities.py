@@ -22,7 +22,7 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.gaussian import random_state, reduce_matrix
-from gbsim.probabilities import state_kernel
+from gbsim.probabilities import _covariance_photon_moments, _photon_law, state_kernel
 
 from conftest import tmsv
 
@@ -162,6 +162,14 @@ class TestTorAsHafnianSum:
         with pytest.raises(ValueError):
             tor_as_hafnian_sum(random_state(3, rng), (1, 2), photon_cutoff=1)
 
+    def test_mixed_state_converges_within_residual(self):
+        state = random_state(3, np.random.default_rng(9), pure=False)
+        _, _, sqdet = state_kernel(state)
+        result = tor_as_hafnian_sum(state, (1, 2), photon_cutoff=12)
+        target = threshold_prob(state, (1, 2)) * sqdet
+        assert result.value <= target + 1e-10
+        assert target - result.value <= result.residual_bound
+
 
 class TestDistribution:
     def test_vacuum_point_mass(self):
@@ -295,6 +303,26 @@ class TestCollision:
         report = collision_probability(state, photon_cutoff=None)
         assert mean <= report.mean_photons == pytest.approx(mean, rel=1e-4)
         assert second <= report.mean_photons_sq == pytest.approx(second, rel=1e-4)
+        # the photon-number law from det(1 - eta O)^(-1/2): the same sums, photon number by photon number
+        _, kernel, sqdet = state_kernel(state)
+        law, tail = _photon_law(kernel, sqdet, 10)
+        sums = [math.fsum(p for n, p in outcomes if n == total) for total in range(11)]
+        np.testing.assert_allclose(law, sums, rtol=0, atol=1e-15)
+        assert tail == pytest.approx(1 - math.fsum(sums), abs=1e-15)
+        assert 0 < tail < 1e-7
+        # and the moments of tr V once the tail is below roundoff
+        law, tail = _photon_law(kernel, sqdet, 40)
+        assert tail < 1e-15
+        ns = np.arange(41)
+        assert (law @ ns, law @ ns ** 2) == pytest.approx(_covariance_photon_moments(state.V), rel=1e-12)
+
+    def test_mixed_state_l1_route(self):
+        # the default cutoff (8 photons at 3 modes) takes the tail from the mixed state's own photon-number law
+        state = random_state(3, np.random.default_rng(9), pure=False)
+        report = collision_probability(state)
+        assert report.photon_cutoff == 8
+        assert 0 < report.residual_bound < 0.01
+        assert abs(report.l1_patternwise - report.epsilon) <= report.residual_bound
 
     def test_scale_guard(self):
         with pytest.raises(ValueError):
