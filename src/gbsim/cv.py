@@ -41,6 +41,7 @@ from .sampler import (
     _measurement_order,
     _mode_position,
     _positive_definite_dets,
+    _sampler,
     _set_mixture_arrays,
     _substream_rng,
     herald,
@@ -323,7 +324,9 @@ class PipelineConfig:
     C: heralded single photons, interferometer, homodyne on every mode.
     D: click-conditioned sources, interferometer, heterodyne on every mode.
 
-    Costs per shot: A grows as 2^clicks; B pays 2^heralds branches times
+    Costs per shot: A samples its zero-mean state as ``sampler.sample``
+    does (up to ``TABLE_MAX_MODES`` modes, one 2^l vacuum-overlap table per
+    run, then O(l 2^clicks) lookups per shot); B pays 2^heralds branches times
     2^clicks; C and D pay the 2^heralds branch count in every one of the l
     single-mode measurements.
     """
@@ -395,13 +398,15 @@ def simulate_pipeline(config):
         U = haar_unitary(config.modes, _substream_rng(config.seed, 0)).matrix
     if config.pipeline == "A":
         r_vec = config.squeezing if config.squeezing else (0.0,) * config.modes
-        mixture = GaussianMixture.from_state(apply_interferometer(squeezed_state(r_vec), U))
-    else:
-        mixture, herald_prob = _signal_mixture(config, U)
-        meta["herald_probability"] = herald_prob
-        meta["branches"] = mixture.branch_count
+        draw = _sampler(apply_interferometer(squeezed_state(r_vec), U), None)
+        records = [{"shot": i, "pattern": list(draw(_substream_rng(config.seed, i + 1)).pattern.clicked)}
+                   for i in range(config.shots)]
+        return records, meta
+    mixture, herald_prob = _signal_mixture(config, U)
+    meta["herald_probability"] = herald_prob
+    meta["branches"] = mixture.branch_count
     records = []
-    if config.pipeline in ("A", "B"):
+    if config.pipeline == "B":
         signal_labels = set(range(1, config.modes + 1))
         for i in range(config.shots):
             final, _, _ = sample_mixture(mixture, _substream_rng(config.seed, i + 1))

@@ -1,17 +1,31 @@
 """Exact threshold-detector sampling by mode-by-mode chain-rule conditioning.
 
-The working state is a signed mixture of Gaussian states. Projecting one
-mode onto vacuum is a Gaussian (Schur-complement) update; a click splits
-every branch into the unconditioned marginal minus the vacuum-conditioned
-branch, doubling the branch count. Weights always sum to one but need not
-stay positive.
+Each step's no-click probability is a ratio of two marginals of the
+already-drawn outcomes. The sampler takes one of two routes, decided by the
+state alone (``_sampler``):
+
+* Zero-mean states of at most ``TABLE_MAX_MODES`` modes read every marginal
+  from one vacuum-overlap table, built once per ``sample``/``sample_batch``
+  call: ``t[T] = (-1)^(l - |T|) det(Sigma_(T))^(-1/2)`` for every mask T of
+  the l modes, ``Sigma = (V + 1) / 2``, from the Torontonian's pivot tree
+  (``torontonian._minor_terms``). The marginal with no-clicks S0 and clicks
+  C is ``(-1)^(l - |S0|)`` times the exact sum of ``t[S0 | Z]`` over Z in C,
+  so a sample costs a ``2^l`` table once per call plus ``O(l 2^clicks)``
+  lookups.
+* Every other state (displaced, or above the bound) runs as a signed
+  mixture of Gaussian states. Projecting one mode onto vacuum is a Gaussian
+  (Schur-complement) update; a click splits every branch into the
+  unconditioned marginal minus the vacuum-conditioned branch, doubling the
+  branch count, so a sample costs ``O(l^2 2^clicks)``. Weights always sum
+  to one but need not stay positive.
 
 Branches are stored as stacked arrays (weights, covariances, means). The
 one Gaussian-conditioning step, ``_condition``, updates each branch in
 turn, so the per-sample cost follows the branch count directly (one Schur
 complement per branch per mode); ``cv.backaction`` shares it. The one
 threshold step, ``_advance``, calls it; ``step`` and ``sample_mixture``
-draw its outcome by one coin rule; ``herald`` forces it.
+draw its outcome by one coin rule; ``herald`` forces it. The table route
+draws by the same coin rule.
 
 The per-mode no-click weight of a branch with block ``V_B`` and mean
 ``r_B`` is the vacuum overlap, twice the heterodyne factor at outcome 0:
@@ -23,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,10 +50,17 @@ from .gaussian import (
     _clamp_probability,
     min_physicality_eigenvalue,
 )
+from .torontonian import _minor_terms, _powerset_terms
 
 WEIGHT_TOL = 1e-9
 MIXTURE_PHYSICALITY_TOL = 1e-8  # GaussianMixture.validate: min eig(V + i Omega) floor
 MIN_EVENT_PROB = 1e-300
+# Zero-mean states up to this many modes sample from the vacuum-overlap table. On a 2-vCPU VM with
+# one BLAS thread (Haar states, squeezing 0.6) one `sample` call took 0.7/1.7/5.2/17.8 ms at
+# 8/12/14/16 modes against the mixture's 1.6/2.7/3.8/5.3 ms, and a 16-mode table paid for itself
+# from 4 samples per call; at 18 and 20 modes it needs 7 and 38. The bound cannot depend on the
+# sample count: any sub-range of a batch must regenerate alone, and the routes agree only to ~1e-9.
+TABLE_MAX_MODES = 16
 _VACUUM_W = np.eye(2)  # vacuum projection is a heterodyne at outcome 0
 
 _MASK64 = (1 << 64) - 1
@@ -239,7 +261,13 @@ def step(mixture, mode, rng):
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One threshold sample plus its per-step diagnostics."""
+    """One threshold sample plus its per-step diagnostics.
+
+    ``noclick_probs`` holds each step's no-click probability in measurement
+    order. ``branch_counts`` holds, after each step, 2^(clicks so far): on
+    the table route the number of table entries the next marginal sums, on
+    the mixture route the number of Gaussian branches.
+    """
 
     pattern: ClickPattern
     noclick_probs: tuple
@@ -274,20 +302,75 @@ def sample_mixture(mixture, rng, order=None):
     return mixture, tuple(probs), tuple(counts)
 
 
+def _overlap_table(state):
+    """``t[T] = (-1)^(l - |T|) det(Sigma_(T))^(-1/2)``, Sigma = (V + 1) / 2, for every mask T in bitmask order."""
+    sigma = (np.asarray(state.V) + np.eye(2 * state.modes)) / 2
+    return _powerset_terms(partial(_minor_terms, sigma), state.modes)
+
+
+def _walk_table(table, order, rng):
+    """Chain rule over the overlap table: (clicked labels, no-click probs, branch counts).
+
+    ``idx`` holds the masks S0 | Z over the subsets Z of the clicked modes C,
+    S0 the no-click modes, and ``total`` their exact sum, (-1)^(l - |S0|)
+    times the marginal P(S0, C). Adding mode j to S0 flips that sign, so the
+    no-click probability is ``-fsum(t[idx | bit]) / total``.
+    """
+    draw = _coin(rng)
+    idx = np.zeros(1, dtype=np.int64)
+    total = float(table[0])
+    clicked, probs, counts = [], [], []
+    for label in order:
+        bit = 1 << (label - 1)
+        num = math.fsum(table[idx | bit].tolist())
+        p = _clamp_probability(-num / total, f"no-click on mode {label}")
+        if draw(p):
+            idx = np.concatenate([idx, idx | bit])
+            total = math.fsum(table[idx].tolist())
+            clicked.append(label)
+        else:
+            idx |= bit
+            total = num
+        probs.append(p)
+        counts.append(len(idx))
+    return clicked, tuple(probs), tuple(counts)
+
+
+def _sampler(state, order):
+    """The one per-state sampler: a function of the rng returning a SampleRecord.
+
+    Zero-mean states of at most TABLE_MAX_MODES modes build the overlap table
+    here, once; every other state runs ``sample_mixture``.
+    """
+    order = _measurement_order(range(1, state.modes + 1), order)
+    if state.modes <= TABLE_MAX_MODES and not np.any(state.r):
+        table = _overlap_table(state)
+        walk = partial(_walk_table, table, order)
+    else:
+        mixture = GaussianMixture.from_state(state)
+
+        def walk(rng):
+            final, probs, counts = sample_mixture(mixture, rng, order=order)
+            return final.clicked_labels, probs, counts
+
+    def draw(rng):
+        clicked, probs, counts = walk(rng)
+        return SampleRecord(ClickPattern(state.modes, tuple(sorted(clicked))), probs, counts)
+
+    return draw
+
+
 def sample(state, rng, order=None):
     """Draw one exact threshold sample from a Gaussian state.
 
-    Modes are measured from the highest index down by default. Cost grows
-    as the branch count doubles with each click.
+    Modes are measured from the highest index down by default. A zero-mean
+    state of at most TABLE_MAX_MODES modes pays its 2^l vacuum-overlap table,
+    then O(l 2^clicks) lookups; any other state runs the signed mixture at
+    O(l^2 2^clicks). ``sample_batch`` takes the same route and shares one
+    table across its batch; a lone sample of more than about 13 modes pays
+    more for the table than the mixture would take.
     """
-    mixture = GaussianMixture.from_state(state)
-    final, probs, counts = sample_mixture(mixture, rng, order=order)
-    clicked = tuple(sorted(final.clicked_labels))
-    return SampleRecord(
-        pattern=ClickPattern(state.modes, clicked),
-        noclick_probs=probs,
-        branch_counts=counts,
-    )
+    return _sampler(state, order)(rng)
 
 
 def sample_batch(state, n, seed, order=None):
@@ -295,14 +378,14 @@ def sample_batch(state, n, seed, order=None):
 
     Sample ``i`` uses the RNG substream ``substream_id(seed, i)``, so the
     batch content does not depend on execution order and any sub-range can
-    be regenerated in isolation.
+    be regenerated in isolation: record ``i`` equals ``sample(state,
+    _substream_rng(seed, i), order)``. On the table route the call builds
+    one 2^l table for all ``n`` samples, then O(l 2^clicks) lookups each.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    return [
-        replace(sample(state, _substream_rng(seed, i), order=order), seed=int(seed), substream=substream_id(seed, i))
-        for i in range(n)
-    ]
+    draw = _sampler(state, order)
+    return [replace(draw(_substream_rng(seed, i)), seed=int(seed), substream=substream_id(seed, i)) for i in range(n)]
 
 
 def herald(state, measured, outcomes, order=None):

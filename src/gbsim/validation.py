@@ -165,7 +165,11 @@ def check_l1_identity(rng, modes=3):
 
 
 def check_sampler(rng, samples=3000, modes=3):
-    """Chain-rule sampler against full enumeration (chi-square + exact path products)."""
+    """Chain-rule sampler against full enumeration: chi-square, plus exact path products.
+
+    The path products are those of ``chain_rule_probability`` for every
+    pattern and those recorded by every drawn sample.
+    """
     from scipy import stats  # imported here: slow to load, and only this check needs it
 
     seed = int(rng.integers(0, 2 ** 32))
@@ -178,6 +182,10 @@ def check_sampler(rng, samples=3000, modes=3):
     counts = {}
     for rec in records:
         counts[rec.pattern.clicked] = counts.get(rec.pattern.clicked, 0) + 1
+        # the probabilities the sampler drew by, in its default order (highest mode first)
+        steps = zip(range(modes, 0, -1), rec.noclick_probs)
+        path = math.prod(1.0 - p if mode in rec.pattern.clicked else p for mode, p in steps)
+        worst_path = max(worst_path, abs(path - dist.probability(rec.pattern.clicked)))
     patterns = [k for k, _ in dist.items_sorted()]
     expected = np.array([dist.probability(k) * samples for k in patterns])
     observed = np.array([counts.get(k, 0) for k in patterns], dtype=float)

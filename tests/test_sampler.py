@@ -8,8 +8,10 @@ from gbsim import (
     GaussianMixture,
     NumericalError,
     QuadratureState,
+    apply_interferometer,
     chain_rule_probability,
     distribution,
+    haar_unitary,
     herald,
     q_function,
     husimi_covariance,
@@ -23,7 +25,7 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.gaussian import random_state
-from gbsim.sampler import sample_mixture
+from gbsim.sampler import TABLE_MAX_MODES, _substream_rng, sample_mixture
 
 from conftest import tmsv
 
@@ -129,12 +131,16 @@ class TestMixtureInvariants:
 
     def test_branch_growth_is_exactly_two_per_click(self, rng):
         state = random_state(5, rng, max_squeezing=0.9)
-        rec = sample(state, np.random.default_rng(17))
-        clicks = 0
-        for prob, count in zip(rec.noclick_probs, rec.branch_counts):
-            assert 0.0 <= prob <= 1.0
-        clicks = rec.clicks
-        assert rec.branch_counts[-1] == 2 ** clicks
+        most_clicks = 0
+        for seed in range(17, 57):
+            final, probs, counts = sample_mixture(GaussianMixture.from_state(state), np.random.default_rng(seed))
+            for prob in probs:
+                assert 0.0 <= prob <= 1.0
+            assert final.branch_count == counts[-1] == 2 ** len(final.clicked_labels)
+            clicks = np.cumsum([outcome for _, outcome in final.history])
+            assert list(counts) == [2 ** int(c) for c in clicks]
+            most_clicks = max(most_clicks, int(clicks[-1]))
+        assert most_clicks >= 2  # the growth was exercised, not only the all-silent path
 
     def test_branch_covariances_stay_physical(self, rng):
         state = random_state(4, rng)
@@ -227,13 +233,47 @@ class TestSample:
         assert len(rec.noclick_probs) == 3
         assert len(rec.branch_counts) == 3
 
+    @pytest.mark.parametrize("modes, pure, order", [
+        (3, True, None), (3, False, None), (5, True, None), (5, False, None),
+        (8, True, None), (8, False, None), (5, True, [2, 5, 1, 4, 3]),
+    ])
+    def test_table_route_matches_mixture(self, modes, pure, order):
+        # zero-mean states sample from the overlap table; the signed mixture is the reference
+        state = random_state(modes, np.random.default_rng(100 + modes), pure=pure)
+        for i in range(20):
+            rec = sample(state, _substream_rng(61, i), order=order)
+            final, probs, counts = sample_mixture(GaussianMixture.from_state(state), _substream_rng(61, i), order)
+            assert rec.pattern.clicked == tuple(sorted(final.clicked_labels))
+            assert rec.branch_counts == counts
+            assert np.abs(np.subtract(rec.noclick_probs, probs)).max() <= 1e-8
+
+    def test_displaced_state_takes_mixture(self):
+        # a coherent product state: each mode's no-click probability is exp(-(x^2 + p^2) / 4) whatever the
+        # other modes read; the vacuum-overlap table assumes zero mean and would read 1.0
+        r = np.array([0.9, -1.4, 0.3, 0.5, 1.1, -0.7])
+        closed = {j: math.exp(-(r[j - 1] ** 2 + r[j + 2] ** 2) / 4) for j in (1, 2, 3)}
+        for rec in sample_batch(QuadratureState(np.eye(6), r), 30, seed=8):
+            assert np.allclose(rec.noclick_probs, [closed[j] for j in (3, 2, 1)], rtol=0, atol=1e-12)
+
+
+def _batch_state(modes, rng):
+    if modes <= TABLE_MAX_MODES:
+        return random_state(modes, rng)
+    # above the table's mode bound: the mixture side of the route rule
+    return apply_interferometer(squeezed_state([0.1] * modes), haar_unitary(modes, rng))
+
+
+def _record_fields(rec):
+    return rec.pattern, rec.noclick_probs, rec.branch_counts
+
 
 class TestSampleBatch:
     def test_single_sample_equals_batch_head(self, rng):
-        state = random_state(3, rng)
-        one = sample(state, np.random.Generator(np.random.PCG64(substream_id(99, 0))))
-        batch = sample_batch(state, 1, seed=99)
-        assert batch[0].pattern == one.pattern
+        for modes in (3, TABLE_MAX_MODES + 1):  # one state per route
+            state = _batch_state(modes, rng)
+            one = sample(state, np.random.Generator(np.random.PCG64(substream_id(99, 0))))
+            batch = sample_batch(state, 1, seed=99)
+            assert _record_fields(batch[0]) == _record_fields(one)
 
     def test_same_seed_identical(self, rng):
         state = random_state(3, rng)
@@ -242,11 +282,12 @@ class TestSampleBatch:
         assert [r.pattern.clicked for r in a] == [r.pattern.clicked for r in b]
 
     def test_halves_merge_to_full_batch(self, rng):
-        state = random_state(2, rng)
-        full = sample_batch(state, 40, seed=12)
-        head = sample_batch(state, 20, seed=12)
-        assert [r.pattern.clicked for r in full[:20]] == [r.pattern.clicked for r in head]
-        assert [r.substream for r in full[:20]] == [r.substream for r in head]
+        for modes, n in ((2, 40), (TABLE_MAX_MODES + 1, 2)):  # one state per route
+            state = _batch_state(modes, rng)
+            full = sample_batch(state, n, seed=12)
+            head = sample_batch(state, n // 2, seed=12)
+            assert [_record_fields(r) for r in full[:n // 2]] == [_record_fields(r) for r in head]
+            assert [r.substream for r in full[:n // 2]] == [r.substream for r in head]
 
 
 class TestHerald:
