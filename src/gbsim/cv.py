@@ -41,7 +41,7 @@ from .sampler import (
     _measurement_order,
     _mode_position,
     _positive_definite_dets,
-    _sampler,
+    _sample_records,
     _set_mixture_arrays,
     _substream_rng,
     herald,
@@ -324,9 +324,10 @@ class PipelineConfig:
     C: heralded single photons, interferometer, homodyne on every mode.
     D: click-conditioned sources, interferometer, heterodyne on every mode.
 
-    Costs per shot: A samples its zero-mean state as ``sampler.sample``
-    does (up to ``TABLE_MAX_MODES`` modes, one 2^l vacuum-overlap table per
-    run, then O(l 2^clicks) lookups per shot); B pays 2^heralds branches times
+    Costs per shot: A walks the pivot tree of its zero-mean state as
+    ``sampler.sample_batch`` does, all shots of the run in lockstep, O(l^2)
+    entries per live node per mode with 2^clicks live nodes per shot, each
+    node pivoted once for all shots on it; B pays 2^heralds branches times
     2^clicks; C and D pay the 2^heralds branch count in every one of the l
     single-mode measurements.
     """
@@ -398,9 +399,9 @@ def simulate_pipeline(config):
         U = haar_unitary(config.modes, _substream_rng(config.seed, 0)).matrix
     if config.pipeline == "A":
         r_vec = config.squeezing if config.squeezing else (0.0,) * config.modes
-        draw = _sampler(apply_interferometer(squeezed_state(r_vec), U), None)
-        records = [{"shot": i, "pattern": list(draw(_substream_rng(config.seed, i + 1)).pattern.clicked)}
-                   for i in range(config.shots)]
+        rngs = [_substream_rng(config.seed, i + 1) for i in range(config.shots)]
+        samples = _sample_records(apply_interferometer(squeezed_state(r_vec), U), rngs, None)
+        records = [{"shot": i, "pattern": list(rec.pattern.clicked)} for i, rec in enumerate(samples)]
         return records, meta
     mixture, herald_prob = _signal_mixture(config, U)
     meta["herald_probability"] = herald_prob

@@ -2,29 +2,29 @@
 
 Each step's no-click probability is a ratio of two marginals of the
 already-drawn outcomes. The sampler takes one of two routes, decided by the
-state alone (``_sampler``):
+state alone (``_sample_records``):
 
-* Zero-mean states of at most ``TABLE_MAX_MODES`` modes read every marginal
-  from one vacuum-overlap table, built once per ``sample``/``sample_batch``
-  call: ``t[T] = (-1)^(l - |T|) det(Sigma_(T))^(-1/2)`` for every mask T of
-  the l modes, ``Sigma = (V + 1) / 2``, from the Torontonian's pivot tree
-  (``torontonian._minor_terms``). The marginal with no-clicks S0 and clicks
-  C is ``(-1)^(l - |S0|)`` times the exact sum of ``t[S0 | Z]`` over Z in C,
-  so a sample costs a ``2^l`` table once per call plus ``O(l 2^clicks)``
-  lookups.
-* Every other state (displaced, or above the bound) runs as a signed
-  mixture of Gaussian states. Projecting one mode onto vacuum is a Gaussian
-  (Schur-complement) update; a click splits every branch into the
-  unconditioned marginal minus the vacuum-conditioned branch, doubling the
-  branch count, so a sample costs ``O(l^2 2^clicks)``. Weights always sum
-  to one but need not stay positive.
+* Zero-mean states, of any size, walk the Torontonian's pivot tree over
+  ``Sigma = (V + 1) / 2`` (``_walk_tree``, one ``torontonian._pivot`` per
+  level), one level per measured mode. The marginal with no-clicks S0 and
+  clicks C is the inclusion-exclusion sum of the vacuum overlaps
+  ``det(Sigma_(S0 + Z))^(-1/2)`` over Z in C, the factors of the 2^|C| tree
+  nodes the sample sits on. Each level pivots only the nodes that some
+  sample of the batch is on, ``O(l^2)`` entries per node, shared by every
+  sample on it; no ``2^l`` table is built.
+* Displaced states run as a signed mixture of Gaussian states. Projecting
+  one mode onto vacuum is a Gaussian (Schur-complement) update; a click
+  splits every branch into the unconditioned marginal minus the
+  vacuum-conditioned branch, doubling the branch count, so a sample costs
+  ``O(l^2 2^clicks)``. Weights always sum to one but need not stay
+  positive.
 
 Branches are stored as stacked arrays (weights, covariances, means). The
 one Gaussian-conditioning step, ``_condition``, updates each branch in
 turn, so the per-sample cost follows the branch count directly (one Schur
 complement per branch per mode); ``cv.backaction`` shares it. The one
 threshold step, ``_advance``, calls it; ``step`` and ``sample_mixture``
-draw its outcome by one coin rule; ``herald`` forces it. The table route
+draw its outcome by one coin rule; ``herald`` forces it. The tree walk
 draws by the same coin rule.
 
 The per-mode no-click weight of a branch with block ``V_B`` and mean
@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, PhysicalityError
 from .gaussian import (
     ClickPattern,
     QuadratureState,
@@ -50,17 +49,11 @@ from .gaussian import (
     _clamp_probability,
     min_physicality_eigenvalue,
 )
-from .torontonian import _minor_terms, _powerset_terms
+from .torontonian import _pivot
 
 WEIGHT_TOL = 1e-9
 MIXTURE_PHYSICALITY_TOL = 1e-8  # GaussianMixture.validate: min eig(V + i Omega) floor
 MIN_EVENT_PROB = 1e-300
-# Zero-mean states up to this many modes sample from the vacuum-overlap table. On a 2-vCPU VM with
-# one BLAS thread (Haar states, squeezing 0.6) one `sample` call took 0.7/1.7/5.2/17.8 ms at
-# 8/12/14/16 modes against the mixture's 1.6/2.7/3.8/5.3 ms, and a 16-mode table paid for itself
-# from 4 samples per call; at 18 and 20 modes it needs 7 and 38. The bound cannot depend on the
-# sample count: any sub-range of a batch must regenerate alone, and the routes agree only to ~1e-9.
-TABLE_MAX_MODES = 16
 _VACUUM_W = np.eye(2)  # vacuum projection is a heterodyne at outcome 0
 
 _MASK64 = (1 << 64) - 1
@@ -265,8 +258,8 @@ class SampleRecord:
 
     ``noclick_probs`` holds each step's no-click probability in measurement
     order. ``branch_counts`` holds, after each step, 2^(clicks so far): on
-    the table route the number of table entries the next marginal sums, on
-    the mixture route the number of Gaussian branches.
+    the tree walk the number of live tree nodes the sample sits on, on the
+    mixture route the number of Gaussian branches.
     """
 
     pattern: ClickPattern
@@ -302,75 +295,96 @@ def sample_mixture(mixture, rng, order=None):
     return mixture, tuple(probs), tuple(counts)
 
 
-def _overlap_table(state):
-    """``t[T] = (-1)^(l - |T|) det(Sigma_(T))^(-1/2)``, Sigma = (V + 1) / 2, for every mask T in bitmask order."""
-    sigma = (np.asarray(state.V) + np.eye(2 * state.modes)) / 2
-    return _powerset_terms(partial(_minor_terms, sigma), state.modes)
+def _walk_tree(state, order, rngs):
+    """Chain rule over the pivot tree of ``Sigma = (V + 1) / 2``: one (clicked, probs, counts) per rng, in lockstep.
 
-
-def _walk_table(table, order, rng):
-    """Chain rule over the overlap table: (clicked labels, no-click probs, branch counts).
-
-    ``idx`` holds the masks S0 | Z over the subsets Z of the clicked modes C,
-    S0 the no-click modes, and ``total`` their exact sum, (-1)^(l - |S0|)
-    times the marginal P(S0, C). Adding mode j to S0 flips that sign, so the
-    no-click probability is ``-fsum(t[idx | bit]) / total``.
+    The tree pivots the modes in measurement order, one level per mode (``torontonian._pivot``). A node at depth d
+    stands for the set T of measured modes kept "in"; its factor is (-1)^(d - |T|) v(T), v(T) = det(Sigma_(T))^(-1/2)
+    the probability that every mode of T reads vacuum. A sample with no-clicks S0 and clicks C sits on the 2^|C|
+    nodes T = S0 + Z, Z in C, whose factors sum to (-1)^|C| P(S0, C). Their in-children sum to (-1)^|C| P(S0 + j, C),
+    so the no-click probability of mode j is the exact sum of the in-children over the sample's total. A no-click
+    keeps the in-children; a click keeps the out-children (T, sign flipped) too. Each level pivots only the nodes
+    some sample is on, once for all of them: a node's in-set fixes its path, so distinct nodes have distinct
+    children. Samples with the same outcomes so far share nodes, total and p, and walk as one group.
     """
-    draw = _coin(rng)
-    idx = np.zeros(1, dtype=np.int64)
-    total = float(table[0])
-    clicked, probs, counts = [], [], []
+    modes = state.modes
+    pairs = (np.array(order)[:, None] - 1 + [0, modes]).ravel()
+    M = ((np.asarray(state.V) + np.eye(2 * modes)) / 2)[pairs[:, None], pairs][:, :, None]  # nodes along the last axis
+    factor = np.ones(1)
+    levels = []  # (number of in-children, parents of the out-children) of each level pivoted so far
+    draws = [_coin(rng) for rng in rngs]
+    # one group per outcome prefix: (nodes, exact sum of their factors, samples, (clicked, probs, counts) so far)
+    groups = [(np.zeros(1, dtype=np.intp), 1.0, range(len(rngs)), ((), (), ()))]
+
+    def error(node):  # the failing node's in-set, traced back through the levels, plus the mode being pivoted
+        kept = [label]
+        for (width, outs), done in zip(reversed(levels), reversed(order[:len(levels)])):
+            if node < width:
+                kept.append(done)
+            else:
+                node = outs[node - width]
+        return PhysicalityError(f"Sigma_(T) = (V_(T) + 1) / 2 is not positive definite for modes T = {sorted(kept)}; "
+                                "the state is not physical")
+
     for label in order:
-        bit = 1 << (label - 1)
-        num = math.fsum(table[idx | bit].tolist())
-        p = _clamp_probability(-num / total, f"no-click on mode {label}")
-        if draw(p):
-            idx = np.concatenate([idx, idx | bit])
-            total = math.fsum(table[idx].tolist())
-            clicked.append(label)
-        else:
-            idx |= bit
-            total = num
-        probs.append(p)
-        counts.append(len(idx))
-    return clicked, tuple(probs), tuple(counts)
+        schur, scaled = _pivot(M, factor, error)
+        silent, clicked = [], []
+        for nodes, total, members, (labels, probs, counts) in groups:
+            num = math.fsum(scaled[nodes].tolist())
+            p = _clamp_probability(num / total, f"no-click on mode {label}")
+            split = ([], [])
+            for s in members:
+                split[draws[s](p)].append(s)
+            if split[0]:
+                silent.append((nodes, num, split[0], (labels, probs + (p,), counts + (len(nodes),))))
+            if split[1]:
+                grown = math.fsum(np.concatenate([scaled[nodes], -factor[nodes]]).tolist())
+                clicked.append((nodes, grown, split[1], (labels + (label,), probs + (p,), counts + (2 * len(nodes),))))
+        needed = np.zeros(len(factor), dtype=bool)  # the nodes some clicking sample is on
+        for nodes, _, _, _ in clicked:
+            needed[nodes] = True
+        outs = np.flatnonzero(needed)
+        where = len(factor) - 1 + np.cumsum(needed)  # the out-children follow the in-children
+        levels.append((len(factor), outs))
+        groups = silent + [(np.concatenate([nodes, where[nodes]]), total, members, walk)
+                           for nodes, total, members, walk in clicked]
+        M = np.concatenate([schur, M[2:, 2:, outs]], axis=-1)
+        factor = np.concatenate([scaled, -factor[outs]])
+    walks = [None] * len(rngs)
+    for _, _, members, walk in groups:
+        for s in members:
+            walks[s] = walk
+    return walks
 
 
-def _sampler(state, order):
-    """The one per-state sampler: a function of the rng returning a SampleRecord.
+def _sample_records(state, rngs, order):
+    """One SampleRecord per rng; the state alone picks the route.
 
-    Zero-mean states of at most TABLE_MAX_MODES modes build the overlap table
-    here, once; every other state runs ``sample_mixture``.
+    Zero-mean states walk the pivot tree (``_walk_tree``), all rngs together; displaced states run
+    ``sample_mixture`` once per rng.
     """
     order = _measurement_order(range(1, state.modes + 1), order)
-    if state.modes <= TABLE_MAX_MODES and not np.any(state.r):
-        table = _overlap_table(state)
-        walk = partial(_walk_table, table, order)
-    else:
+    if np.any(state.r):
         mixture = GaussianMixture.from_state(state)
-
-        def walk(rng):
+        walks = []
+        for rng in rngs:
             final, probs, counts = sample_mixture(mixture, rng, order=order)
-            return final.clicked_labels, probs, counts
-
-    def draw(rng):
-        clicked, probs, counts = walk(rng)
-        return SampleRecord(ClickPattern(state.modes, tuple(sorted(clicked))), probs, counts)
-
-    return draw
+            walks.append((final.clicked_labels, probs, counts))
+    else:
+        walks = _walk_tree(state, order, rngs)
+    return [SampleRecord(ClickPattern(state.modes, tuple(sorted(clicked))), probs, counts)
+            for clicked, probs, counts in walks]
 
 
 def sample(state, rng, order=None):
     """Draw one exact threshold sample from a Gaussian state.
 
     Modes are measured from the highest index down by default. A zero-mean
-    state of at most TABLE_MAX_MODES modes pays its 2^l vacuum-overlap table,
-    then O(l 2^clicks) lookups; any other state runs the signed mixture at
-    O(l^2 2^clicks). ``sample_batch`` takes the same route and shares one
-    table across its batch; a lone sample of more than about 13 modes pays
-    more for the table than the mixture would take.
+    state walks the pivot tree of its vacuum overlaps, O(l^2) entries per
+    live node per mode with 2^clicks live nodes; a displaced state runs the
+    signed mixture at O(l^2 2^clicks) Schur updates.
     """
-    return _sampler(state, order)(rng)
+    return _sample_records(state, [rng], order)[0]
 
 
 def sample_batch(state, n, seed, order=None):
@@ -379,13 +393,14 @@ def sample_batch(state, n, seed, order=None):
     Sample ``i`` uses the RNG substream ``substream_id(seed, i)``, so the
     batch content does not depend on execution order and any sub-range can
     be regenerated in isolation: record ``i`` equals ``sample(state,
-    _substream_rng(seed, i), order)``. On the table route the call builds
-    one 2^l table for all ``n`` samples, then O(l 2^clicks) lookups each.
+    _substream_rng(seed, i), order)``. On a zero-mean state the batch walks
+    the pivot tree in lockstep: each node is pivoted once for every sample
+    on it, and no 2^l table is built.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    draw = _sampler(state, order)
-    return [replace(draw(_substream_rng(seed, i)), seed=int(seed), substream=substream_id(seed, i)) for i in range(n)]
+    records = _sample_records(state, [_substream_rng(seed, i) for i in range(n)], order)
+    return [replace(rec, seed=int(seed), substream=substream_id(seed, i)) for i, rec in enumerate(records)]
 
 
 def herald(state, measured, outcomes, order=None):

@@ -95,33 +95,48 @@ def _chunk_terms(M, evaluate, start, stop):
     return terms
 
 
+def _pivot(M, factor, error):
+    """One level of the pivot tree: the "in" children (Schur complements, factor / sqrt(det P)) of M's nodes.
+
+    The nodes lie along M's last axis, each pivoting out its leading 2x2 block P; the "out" children,
+    ``M[2:, 2:]`` with ``-factor``, are the caller's slices. The update is entrywise, with no BLAS, so a node's
+    children do not depend on the other nodes of the stack. A node whose P is not positive definite raises
+    ``error(node)``.
+    """
+    (a, b), (c, d) = M[:2, :2]
+    det = a * d - b * c
+    bad = np.flatnonzero(~((a > 0) & (det > 0)))  # a NaN pivot fails too
+    if len(bad):
+        raise error(int(bad[0]))
+    l0 = (M[2:, 0] * d - M[2:, 1] * c) / det  # M[2:, :2] P^-1, entry by entry
+    l1 = (M[2:, 1] * a - M[2:, 0] * b) / det
+    return M[2:, 2:] - l0[:, None] * M[0, 2:] - l1[:, None] * M[1, 2:], factor / np.sqrt(det)
+
+
 def _minor_terms(R, start, stop):
     """Signed terms (-1)^(N - |Z|) det(R_(Z))^(-1/2) for masks in [start, stop), in mask order.
 
-    A pivot tree over R's (x_j, p_j) pairs, highest mode first: each node's "out" child drops its leading 2x2
-    block P and flips the sign, its "in" child takes the Schur complement and divides by sqrt(det P). Levels
-    above the 2^low masks keep the child picked by ``start``. The update is entrywise, with no BLAS, so the
-    term of Z is bit for bit the same in the tree of every R_(S) with Z in S.
+    A pivot tree (``_pivot``) over R's (x_j, p_j) pairs, highest mode first: each node's "out" child drops its
+    leading 2x2 block P and flips the sign, its "in" child takes the Schur complement and divides by
+    sqrt(det P). Levels above the 2^low masks keep the child picked by ``start``. The term of Z is bit for bit
+    the same in the tree of every R_(S) with Z in S.
     """
     modes = R.shape[0] // 2
     low = (stop - start).bit_length() - 1
     order = (np.arange(modes)[::-1, None] + [0, modes]).ravel()
     M = R[order[:, None], order][:, :, None]  # nodes along the last axis
     factor = np.ones(1)
+
+    def error(node):  # the failing node's subset at the level being pivoted
+        mask = ((start >> (mode + 1)) + node) << (mode + 1) | 1 << mode
+        subset = [i + 1 for i in range(modes) if mask >> i & 1]
+        return PhysicalityError(f"1 - O_(Z) is not positive definite for subset Z = {subset}; "
+                                "the kernel does not come from a physical state")
+
     for mode in reversed(range(modes)):
-        (a, b), (c, d) = M[:2, :2]
-        det = a * d - b * c
-        bad = np.flatnonzero(~((a > 0) & (det > 0)))  # a NaN pivot fails too
-        if len(bad):
-            mask = ((start >> (mode + 1)) + int(bad[0])) << (mode + 1) | 1 << mode
-            subset = [i + 1 for i in range(modes) if mask >> i & 1]
-            raise PhysicalityError(f"1 - O_(Z) is not positive definite for subset Z = {subset}; "
-                                   "the kernel does not come from a physical state")
-        l0 = (M[2:, 0] * d - M[2:, 1] * c) / det  # M[2:, :2] P^-1, entry by entry
-        l1 = (M[2:, 1] * a - M[2:, 0] * b) / det
-        schur = M[2:, 2:] - l0[:, None] * M[0, 2:] - l1[:, None] * M[1, 2:]
+        schur, scaled = _pivot(M, factor, error)
         M = np.stack([M[2:, 2:], schur], axis=-1).reshape(schur.shape[:2] + (2 * len(factor),))
-        factor = np.stack([-factor, factor / np.sqrt(det)], axis=-1).ravel()
+        factor = np.stack([-factor, scaled], axis=-1).ravel()
         if mode >= low:
             bit = start >> mode & 1
             M, factor = M[:, :, bit:bit + 1], factor[bit:bit + 1]

@@ -7,11 +7,10 @@ from gbsim import (
     ClickPattern,
     GaussianMixture,
     NumericalError,
+    PhysicalityError,
     QuadratureState,
-    apply_interferometer,
     chain_rule_probability,
     distribution,
-    haar_unitary,
     herald,
     q_function,
     husimi_covariance,
@@ -25,7 +24,7 @@ from gbsim import (
     vacuum_state,
 )
 from gbsim.gaussian import random_state
-from gbsim.sampler import TABLE_MAX_MODES, _substream_rng, sample_mixture
+from gbsim.sampler import _substream_rng, sample_mixture
 
 from conftest import tmsv
 
@@ -180,6 +179,9 @@ class TestMixtureInvariants:
         mixture = GaussianMixture(labels=(1, 2), weights=[1.0], covs=[-3 * np.eye(4)], means=[np.zeros(4)])
         with pytest.raises(NumericalError, match="not positive definite"):
             herald(mixture, [2], [0])
+        # the tree walk names the vacuum-overlap block of the state that fails, not a kernel the caller never passed
+        with pytest.raises(PhysicalityError, match=r"Sigma_\(T\) = .* not positive definite for modes T = \[2\]"):
+            sample(QuadratureState(np.diag([1.0, -3.0, 1.0, 1.0]), validate=False), np.random.default_rng(0))
 
 
 class TestChainRule:
@@ -235,10 +237,11 @@ class TestSample:
 
     @pytest.mark.parametrize("modes, pure, order", [
         (3, True, None), (3, False, None), (5, True, None), (5, False, None),
-        (8, True, None), (8, False, None), (5, True, [2, 5, 1, 4, 3]),
+        (8, True, None), (8, False, None), (5, True, [2, 5, 1, 4, 3]), (18, True, None),
     ])
     def test_table_route_matches_mixture(self, modes, pure, order):
-        # zero-mean states sample from the overlap table; the signed mixture is the reference
+        # zero-mean states walk the pivot tree of their vacuum overlaps, at 18 modes too; the signed mixture is the
+        # reference
         state = random_state(modes, np.random.default_rng(100 + modes), pure=pure)
         for i in range(20):
             rec = sample(state, _substream_rng(61, i), order=order)
@@ -249,18 +252,19 @@ class TestSample:
 
     def test_displaced_state_takes_mixture(self):
         # a coherent product state: each mode's no-click probability is exp(-(x^2 + p^2) / 4) whatever the
-        # other modes read; the vacuum-overlap table assumes zero mean and would read 1.0
+        # other modes read; the vacuum-overlap tree assumes zero mean and would read 1.0
         r = np.array([0.9, -1.4, 0.3, 0.5, 1.1, -0.7])
         closed = {j: math.exp(-(r[j - 1] ** 2 + r[j + 2] ** 2) / 4) for j in (1, 2, 3)}
         for rec in sample_batch(QuadratureState(np.eye(6), r), 30, seed=8):
             assert np.allclose(rec.noclick_probs, [closed[j] for j in (3, 2, 1)], rtol=0, atol=1e-12)
 
 
-def _batch_state(modes, rng):
-    if modes <= TABLE_MAX_MODES:
-        return random_state(modes, rng)
-    # above the table's mode bound: the mixture side of the route rule
-    return apply_interferometer(squeezed_state([0.1] * modes), haar_unitary(modes, rng))
+def _batch_state(modes, rng, displaced):
+    state = random_state(modes, rng)
+    if not displaced:
+        return state
+    # a nonzero mean: the mixture side of the route rule
+    return QuadratureState(state.V, rng.normal(size=2 * modes), validate=False)
 
 
 def _record_fields(rec):
@@ -269,11 +273,19 @@ def _record_fields(rec):
 
 class TestSampleBatch:
     def test_single_sample_equals_batch_head(self, rng):
-        for modes in (3, TABLE_MAX_MODES + 1):  # one state per route
-            state = _batch_state(modes, rng)
+        for displaced in (False, True):  # one state per route
+            state = _batch_state(3, rng, displaced)
             one = sample(state, np.random.Generator(np.random.PCG64(substream_id(99, 0))))
             batch = sample_batch(state, 1, seed=99)
             assert _record_fields(batch[0]) == _record_fields(one)
+
+    def test_records_equal_lone_samples(self):
+        # the batch walk shares tree nodes between its samples; sharing never moves a record
+        state = random_state(10, np.random.default_rng(3))
+        batch = sample_batch(state, 24, seed=41)
+        assert max(rec.clicks for rec in batch) >= 3
+        for i, rec in enumerate(batch):
+            assert _record_fields(rec) == _record_fields(sample(state, _substream_rng(41, i)))
 
     def test_same_seed_identical(self, rng):
         state = random_state(3, rng)
@@ -282,8 +294,8 @@ class TestSampleBatch:
         assert [r.pattern.clicked for r in a] == [r.pattern.clicked for r in b]
 
     def test_halves_merge_to_full_batch(self, rng):
-        for modes, n in ((2, 40), (TABLE_MAX_MODES + 1, 2)):  # one state per route
-            state = _batch_state(modes, rng)
+        for modes, n, displaced in ((2, 40, False), (4, 10, True)):  # one state per route
+            state = _batch_state(modes, rng, displaced)
             full = sample_batch(state, n, seed=12)
             head = sample_batch(state, n // 2, seed=12)
             assert [_record_fields(r) for r in full[:n // 2]] == [_record_fields(r) for r in head]
