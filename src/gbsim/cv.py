@@ -19,9 +19,10 @@ evaluation shrinks (a step that leaves the bracket falls back to its midpoint).
 Backaction is the sampler's one conditioning step (``sampler._condition``),
 of which a threshold no-click is the special case W = 1 at outcome 0.
 
-scipy loads only inside the functions that use it (``_unit_probe_points``
-and ``_invert_mixture_cdf``), so importing this module, and through it
-``gbsim.cli``, loads no module of scipy.
+The probe set is built in NumPy, and the one scipy function this module
+uses, ``scipy.special.ndtr``, is imported inside ``_invert_mixture_cdf``:
+importing this module, and through it ``gbsim.cli``, loads no module of
+scipy, and of scipy a ``cv`` run loads ``scipy.special`` alone.
 """
 
 from __future__ import annotations
@@ -110,14 +111,30 @@ def marginal(mixture, mode):
 def _unit_probe_points():
     """The negativity probe's scrambled Halton set on the unit square, read-only.
 
-    Each density scales it to its box as ``unit * (hi - lo) + lo``, the
-    expression ``qmc.scale`` evaluates, so the probe points are the ones a
-    per-density ``qmc.scale(qmc.Halton(d=2, seed=7).random(...), lo, hi)``
-    gives. ``scipy.stats`` is imported here, not at module load.
+    Owen's randomized Halton sequence (arXiv:1706.02808) in bases 2 and 3,
+    equal bit for bit to ``qmc.Halton(d=2, seed=7).random(NEGATIVITY_PROBES)``:
+    one ``default_rng(7)`` shuffles a row of digit permutations per base-b
+    digit a float64 can resolve, base 2's rows first, and point i adds up
+    ``perm_j[digit_j(i)] * scale``, its digits least significant first, with
+    ``scale`` divided by b after each digit (a product form misses by an ulp).
+    Like qmc's, the (n, 2) result holds each column contiguously, so
+    ``pdf`` reads x and p without a stride or a copy. Each density scales it
+    to its box as ``unit * (hi - lo) + lo``, the expression ``qmc.scale``
+    evaluates.
     """
-    from scipy.stats import qmc
-
-    unit = qmc.Halton(d=2, seed=7).random(NEGATIVITY_PROBES)
+    rng = np.random.default_rng(7)
+    cols = []
+    for base in (2, 3):
+        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        index, col, scale = np.arange(NEGATIVITY_PROBES), np.zeros(NEGATIVITY_PROBES), 1.0 / base
+        for perm in perms:
+            index, digit = np.divmod(index, base)
+            col += perm[digit] * scale
+            scale /= base
+        cols.append(col)
+    unit = np.array(cols).T
     unit.setflags(write=False)
     return unit
 
@@ -149,8 +166,10 @@ class OutcomeDensity:
         """Density at an (n, 2) array of outcome points, or at one [x, p] point.
 
         Each branch takes -d/(2 det), b/det, -a/(2 det) and w/(2 pi sqrt(det))
-        once and adds its term into one total with in-place ufuncs."""
-        x, p = np.atleast_2d(np.asarray(points, dtype=float)).T
+        once and adds its term into one total with in-place ufuncs. x and p are
+        read as contiguous columns: a copy for C-ordered points, none for the
+        probe set's column layout."""
+        x, p = map(np.ascontiguousarray, np.atleast_2d(np.asarray(points, dtype=float)).T)
         a, b, d = self.covs[:, 0, 0], self.covs[:, 0, 1], self.covs[:, 1, 1]
         det = _positive_definite_dets(self.covs)
         coeffs = zip(self.means, -0.5 * d / det, b / det, -0.5 * a / det, self.weights / (2 * math.pi * np.sqrt(det)))

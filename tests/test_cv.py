@@ -180,6 +180,16 @@ class TestOutcomeDensity:
         assert np.array_equal(unit * (hi - lo) + lo, reference)
         assert unit is _unit_probe_points()
         assert not unit.flags.writeable
+        # qmc's layout: each column contiguous, so pdf reads x and p without a copy
+        assert unit.flags.f_contiguous
+
+    def test_pdf_independent_of_point_layout(self):
+        mixture, _ = herald(paired_source_state(3, 3, 0.9), [4, 5, 6], [1, 1, 1])
+        density = outcome_density(marginal(mixture, 2), heterodyne())
+        columns = np.asfortranarray(_unit_probe_points() * 12.0 - 6.0)
+        rows = np.ascontiguousarray(columns)
+        assert rows.flags.c_contiguous and not rows.flags.f_contiguous
+        assert np.array_equal(density.pdf(rows), density.pdf(columns))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, bad):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import gbsim
 from gbsim import FormatError, apply_interferometer, haar_unitary, squeezed_state, vacuum_state
@@ -23,6 +24,7 @@ from gbsim.serialize import (
     state_from_dict,
     state_to_dict,
 )
+from gbsim.validation import _chisquare
 
 from conftest import tmsv
 
@@ -370,6 +372,17 @@ class TestCliValidate:
         failed = {c["name"] for c in out["checks"] if not c["passed"]}
         assert "hafnian_oracle" in failed
 
+    @pytest.mark.parametrize("cells", [2, 3, 7, 16, 39])
+    def test_chisquare_matches_scipy_stats(self, cells):
+        # the sampler check's statistic and p-value, bit for bit, against the scipy.stats referee
+        rng = np.random.default_rng(cells)
+        expected = rng.uniform(5.0, 200.0, cells)
+        observed = rng.poisson(expected).astype(float)
+        expected *= observed.sum() / expected.sum()
+        stat, pvalue = _chisquare(observed, expected)
+        reference = stats.chisquare(observed, expected)
+        assert (stat, pvalue) == (reference.statistic, reference.pvalue)
+
 
 class TestCliBench:
     def test_smoke_tiny(self, tmp_path, capsys):
@@ -425,7 +438,8 @@ class TestCliImport:
         assert options == {"-h", "--help", "--seed", "--tolerance"}
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy costs most of a CLI call's start-up; only cv and validate import it, lazily
+        # scipy.special adds about 0.2 s of CPU and 300 modules to a call's start-up, and
+        # scipy.stats 0.7 s and 430 modules more; only cv and validate import scipy.special, lazily
         code = "import sys, gbsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -440,10 +454,12 @@ class TestCliImport:
             (("tor", "{kernel}"), False),
             (("--seed", "1", "cv", "--pipeline", "D", "--modes", "2", "--shots", "2", "--heralds", "1",
               "--out", "{dir}/d.jsonl"), True),
+            (("--seed", "5", "validate", "--scale", "small"), True),
         ],
     )
     def test_command_from_cold_start(self, tmp_path, argv, loads_scipy):
-        # a fresh interpreter per command: only cv reaches scipy, and its lazy import works from cold
+        # a fresh interpreter per command: only cv and validate reach scipy, and of it
+        # only scipy.special (never scipy.stats); their lazy imports work from cold
         state_path, kernel_path = tmp_path / "sq.json", tmp_path / "kernel.json"
         save_state(squeezed_state([0.5, 0.5]), state_path)
         t = math.tanh(1.0)
@@ -455,4 +471,8 @@ class TestCliImport:
                              capture_output=True, text=True, check=True)
         exit_code, scipy_modules = json.loads(out.stdout.strip().splitlines()[-1])
         assert exit_code == 0
+        assert "scipy.stats" not in scipy_modules
+        # the public subpackages loaded; scipy's private helpers and version module come with any of them
+        parts = {m.split(".")[1] for m in scipy_modules if "." in m} - {"version"}
+        assert sorted(p for p in parts if not p.startswith("_")) == (["special"] if loads_scipy else [])
         assert bool(scipy_modules) == loads_scipy
