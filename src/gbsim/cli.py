@@ -203,12 +203,15 @@ def cmd_cv(args):
     unitary = None
     if args.unitary and args.unitary not in ("haar",):
         unitary = _load_unitary(args.unitary, args.modes, args.seed).matrix
+    squeezing = _parse_floats(args.squeeze)
+    if args.pipeline == "A" and len(squeezing) not in (0, args.modes):
+        raise FormatError(f"--squeeze needs one value per mode ({args.modes}) or none, got {len(squeezing)}")
     config = PipelineConfig(
         pipeline=args.pipeline,
         modes=args.modes,
         shots=args.shots,
         seed=args.seed,
-        squeezing=_parse_floats(args.squeeze),
+        squeezing=squeezing,
         herald_count=args.heralds,
         herald_squeezing=args.herald_squeeze,
         unitary=unitary,
@@ -306,7 +309,8 @@ def build_parser():
     p.add_argument("--pipeline", choices=["A", "B", "C", "D"], required=True)
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--squeeze", default="", help="pipeline A signal squeezing")
+    p.add_argument("--squeeze", default="",
+                   help="pipeline A: comma-separated squeezing, one value per mode (default: vacuum inputs)")
     p.add_argument("--heralds", type=int, default=0)
     p.add_argument("--herald-squeeze", type=float, default=1.0)
     p.add_argument("--homodyne-s", type=float, default=1e3)

@@ -16,6 +16,10 @@ Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
 both closed-form error-function mixtures (one ``np.vecdot`` per sum), by
 Newton steps on the closed-form mixture pdf inside a bracket that every CDF
 evaluation shrinks (a step that leaves the bracket falls back to its midpoint).
+``measure_all_cv`` runs a pipeline's shots in lockstep, mode by mode: each
+shot keeps its own mixture, density and backaction, and one x and one p
+inversion per mode serve every shot. A row of the inversion stops once it has
+converged, so a shot's outcomes are those of a run by itself.
 Backaction is the sampler's one conditioning step (``sampler._condition``),
 of which a threshold no-click is the special case W = 1 at outcome 0.
 
@@ -47,7 +51,6 @@ from .sampler import (
     _substream_rng,
     herald,
     mixture_apply_interferometer,
-    sample_mixture,
 )
 
 NEGATIVITY_PROBES = 10_000
@@ -187,23 +190,6 @@ class OutcomeDensity:
             total += scale * np.exp(term, out=term)
         return total
 
-    def _conditional_components(self, x):
-        """Weights/means/variances of p given x (per sampled x, vectorized)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        var_x = self.covs[:, 0, 0]
-        phi = np.exp(-0.5 * (x[:, None] - self.means[None, :, 0]) ** 2 / var_x) / np.sqrt(
-            2 * math.pi * var_x
-        )
-        w = self.weights[None, :] * phi
-        norm = w.sum(axis=1, keepdims=True)
-        if np.any(np.abs(norm) < MIN_EVENT_PROB):
-            raise NumericalError("conditional density vanished at the sampled point")
-        w = w / norm
-        slope = self.covs[:, 0, 1] / var_x
-        mu = self.means[None, :, 1] + slope[None, :] * (x[:, None] - self.means[None, :, 0])
-        var = self.covs[:, 1, 1] - self.covs[:, 0, 1] ** 2 / var_x
-        return w, mu, np.broadcast_to(var[None, :], mu.shape)
-
 
 def outcome_density(mixture, povm):
     """Outcome density of a Gaussian measurement on a single-mode mixture."""
@@ -229,8 +215,11 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
     falling back to the bracket midpoint where the step is not strictly inside
     (a vanishing or rounded-negative pdf gives such a step). It stops once the
     mismatch is at most ``tol`` or the bracket reaches floating point
-    resolution. Branch sums are ``np.vecdot`` over the last axis, so
-    ``weights`` may be (B,) (the x solve) or (n, B) (the p solve).
+    resolution. Each row stops on its own: once it meets either test its x,
+    lo and hi stay fixed, so a row's result is bit for bit its solve alone,
+    whatever else is in the batch. Branch sums are ``np.vecdot`` over the
+    last axis, so ``weights``, ``means`` and ``sigmas`` may be (B,), shared
+    by every row, or (n, B), one row per target.
     ``scipy.special`` is imported here, not at module load.
     """
     from scipy.special import ndtr
@@ -259,19 +248,42 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
         for _ in range(200):
             z = (x[..., None] - means) / sigmas
             err = np.vecdot(ndtr(z), weights) - u
-            done = np.abs(err) <= tol
-            width_ok = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))
-            if np.all(done | width_ok):
+            live = ~((np.abs(err) <= tol) | ((hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))))
+            if not live.any():
                 break
-            hi = np.where(err > 0, x, hi)
-            lo = np.where(err > 0, lo, x)
+            hi = np.where(live & (err > 0), x, hi)
+            lo = np.where(live & ~(err > 0), x, lo)
             z *= z
             z *= -0.5
             step = x - err / np.vecdot(np.exp(z, out=z), scaled_weights)
-            x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            x = np.where(live, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), x)
         else:
             raise NumericalError("inverse-CDF Newton solve did not converge in its bracket; density is likely invalid")
     return x
+
+
+def _conditional_components(weights, means, covs, x):
+    """Weights, means and standard deviations of p given each x, one row per x.
+
+    The parameters are a density's (B,), (B, 2) and (B, 2, 2) arrays, or one such set per x with a leading
+    row axis.
+    """
+    var_x = covs[..., 0, 0]
+    dx = x[:, None] - means[..., 0]
+    w = weights * (np.exp(-0.5 * dx ** 2 / var_x) / np.sqrt(2 * math.pi * var_x))
+    norm = w.sum(axis=1, keepdims=True)
+    if np.any(np.abs(norm) < MIN_EVENT_PROB):
+        raise NumericalError("conditional density vanished at the sampled point")
+    mu = means[..., 1] + covs[..., 0, 1] / var_x * dx
+    return w / norm, mu, np.sqrt(covs[..., 1, 1] - covs[..., 0, 1] ** 2 / var_x)
+
+
+def _invert_outcomes(u, weights, means, covs, tol):
+    """Outcomes (n, 2) of the uniforms u (n, 2): each x by inverse CDF of the x marginal, then p by inverse CDF of
+    the conditional mixture given x. The parameters are as for ``_conditional_components``."""
+    xs = _invert_mixture_cdf(u[:, 0], weights, means[..., 0], np.sqrt(covs[..., 0, 0]), tol)
+    ps = _invert_mixture_cdf(u[:, 1], *_conditional_components(weights, means, covs, xs), tol)
+    return np.column_stack([xs, ps])
 
 
 def sample_outcomes(density, n, rng, tol=CDF_TOL):
@@ -280,12 +292,7 @@ def sample_outcomes(density, n, rng, tol=CDF_TOL):
     First coordinate by inverse CDF of the x marginal, second by inverse
     CDF of the conditional mixture, each to ``tol`` in CDF space.
     """
-    u = rng.random((n, 2))
-    sig_x = np.sqrt(density.covs[:, 0, 0])
-    xs = _invert_mixture_cdf(u[:, 0], density.weights, density.means[:, 0], sig_x, tol)
-    w, mu, var = density._conditional_components(xs)
-    ps = _invert_mixture_cdf(u[:, 1], w, mu, np.sqrt(var), tol)
-    return np.column_stack([xs, ps])
+    return _invert_outcomes(rng.random((n, 2)), density.weights, density.means, density.covs, tol)
 
 
 def backaction(mixture, mode, povm, outcome):
@@ -318,18 +325,25 @@ def backaction(mixture, mode, povm, outcome):
     )
 
 
-def measure_all_cv(mixture, povm, rng, tol=CDF_TOL):
-    """Measure every remaining mode of a mixture with one POVM, highest label first."""
-    records = []
+def measure_all_cv(mixture, povm, rngs, tol=CDF_TOL):
+    """Measure every remaining mode of a mixture with one POVM, highest label first: one record list per rng.
+
+    The shots run in lockstep, one mode at a time. Each shot keeps its own mixture, density and backaction and
+    draws its uniforms from its own rng, and one x and one p inversion per mode serve every shot: a row of the
+    inversion converges on its own, so each shot's outcomes are those of a run by itself.
+    """
+    mixtures = [mixture] * len(rngs)
+    records = [[] for _ in rngs]
     for label in _measurement_order(mixture.labels, None):
-        single = marginal(mixture, label)
-        density = outcome_density(single, povm)
-        outcome = sample_outcomes(density, 1, rng, tol)[0]
-        records.append({"mode": label, "povm": povm.label, "outcome": [float(outcome[0]), float(outcome[1])]})
-        if mixture.modes > 1:
-            mixture = backaction(mixture, label, povm, outcome)
-        else:
+        densities = [outcome_density(marginal(m, label), povm) for m in mixtures]
+        u = np.concatenate([rng.random((1, 2)) for rng in rngs])
+        outcomes = _invert_outcomes(u, np.array([d.weights for d in densities]), np.array([d.means for d in densities]),
+                                    np.array([d.covs for d in densities]), tol)
+        for shot, outcome in zip(records, outcomes.tolist()):
+            shot.append({"mode": label, "povm": povm.label, "outcome": outcome})
+        if mixtures[0].modes == 1:
             break
+        mixtures = [backaction(m, label, povm, outcome) for m, outcome in zip(mixtures, outcomes)]
     return records
 
 
@@ -343,12 +357,13 @@ class PipelineConfig:
     C: heralded single photons, interferometer, homodyne on every mode.
     D: click-conditioned sources, interferometer, heterodyne on every mode.
 
-    Costs per shot: A walks the pivot tree of its zero-mean state as
+    Costs per shot: A and B walk the pivot tree of their zero-mean source as
     ``sampler.sample_batch`` does, all shots of the run in lockstep, O(l^2)
-    entries per live node per mode with 2^clicks live nodes per shot, each
-    node pivoted once for all shots on it; B pays 2^heralds branches times
-    2^clicks; C and D pay the 2^heralds branch count in every one of the l
-    single-mode measurements.
+    entries per live node per mode, each node pivoted once for all shots on
+    it; a shot sits on 2^clicks live nodes under each of A's one root and
+    B's 2^heralds branches. C and D pay the 2^heralds branch count in every
+    one of the l single-mode measurements (density, probe and backaction per
+    shot), with one CDF inversion per coordinate and mode for all shots.
     """
 
     pipeline: str
@@ -416,24 +431,16 @@ def simulate_pipeline(config):
         U = np.asarray(config.unitary, dtype=complex)
     else:
         U = haar_unitary(config.modes, _substream_rng(config.seed, 0)).matrix
+    rngs = [_substream_rng(config.seed, i + 1) for i in range(config.shots)]
     if config.pipeline == "A":
         r_vec = config.squeezing if config.squeezing else (0.0,) * config.modes
-        rngs = [_substream_rng(config.seed, i + 1) for i in range(config.shots)]
-        samples = _sample_records(apply_interferometer(squeezed_state(r_vec), U), rngs, None)
-        records = [{"shot": i, "pattern": list(rec.pattern.clicked)} for i, rec in enumerate(samples)]
-        return records, meta
-    mixture, herald_prob = _signal_mixture(config, U)
-    meta["herald_probability"] = herald_prob
-    meta["branches"] = mixture.branch_count
-    records = []
-    if config.pipeline == "B":
-        signal_labels = set(range(1, config.modes + 1))
-        for i in range(config.shots):
-            final, _, _ = sample_mixture(mixture, _substream_rng(config.seed, i + 1))
-            records.append({"shot": i, "pattern": sorted(set(final.clicked_labels) & signal_labels)})
-        return records, meta
+        source = apply_interferometer(squeezed_state(r_vec), U)
+    else:
+        source, meta["herald_probability"] = _signal_mixture(config, U)
+        meta["branches"] = source.branch_count
+    if config.pipeline in ("A", "B"):
+        samples = _sample_records(source, rngs, None)
+        return [{"shot": i, "pattern": list(rec.pattern.clicked)} for i, rec in enumerate(samples)], meta
     povm = homodyne(config.homodyne_s) if config.pipeline == "C" else heterodyne()
-    for i in range(config.shots):
-        rng = _substream_rng(config.seed, i + 1)
-        records.append({"shot": i, "cv": measure_all_cv(mixture, povm, rng, tol=config.cdf_tolerance)})
-    return records, meta
+    shots = measure_all_cv(source, povm, rngs, tol=config.cdf_tolerance)
+    return [{"shot": i, "cv": shot} for i, shot in enumerate(shots)], meta

@@ -2,17 +2,19 @@
 
 Each step's no-click probability is a ratio of two marginals of the
 already-drawn outcomes. The sampler takes one of two routes, decided by the
-state alone (``_sample_records``):
+source alone, a state or a signed mixture (``_sample_records``):
 
-* Zero-mean states, of any size, walk the Torontonian's pivot tree over
+* Zero-mean sources, of any size, walk the Torontonian's pivot tree over
   ``Sigma = (V + 1) / 2`` (``_walk_tree``, one ``torontonian._pivot`` per
   level), one level per measured mode. The marginal with no-clicks S0 and
   clicks C is the inclusion-exclusion sum of the vacuum overlaps
   ``det(Sigma_(S0 + Z))^(-1/2)`` over Z in C, the factors of the 2^|C| tree
   nodes the sample sits on. Each level pivots only the nodes that some
   sample of the batch is on, ``O(l^2)`` entries per node, shared by every
-  sample on it; no ``2^l`` table is built.
-* Displaced states run as a signed mixture of Gaussian states. Projecting
+  sample on it; no ``2^l`` table is built. A zero-mean mixture, such as a
+  heralded source, has the marginals ``sum_b w_b P_b``: its branches are
+  the roots of the walk, each with its weight as its factor.
+* Displaced sources run as a signed mixture of Gaussian states. Projecting
   one mode onto vacuum is a Gaussian (Schur-complement) update; a click
   splits every branch into the unconditioned marginal minus the
   vacuum-conditioned branch, doubling the branch count, so a sample costs
@@ -36,7 +38,7 @@ The per-mode no-click weight of a branch with block ``V_B`` and mean
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,9 +259,10 @@ class SampleRecord:
     """One threshold sample plus its per-step diagnostics.
 
     ``noclick_probs`` holds each step's no-click probability in measurement
-    order. ``branch_counts`` holds, after each step, 2^(clicks so far): on
-    the tree walk the number of live tree nodes the sample sits on, on the
-    mixture route the number of Gaussian branches.
+    order. ``branch_counts`` holds, after each step, 2^(clicks so far) times
+    the source's branch count (1 for a state): on the tree walk the number
+    of live tree nodes the sample sits on, on the mixture route the number
+    of Gaussian branches.
     """
 
     pattern: ClickPattern
@@ -295,7 +298,7 @@ def sample_mixture(mixture, rng, order=None):
     return mixture, tuple(probs), tuple(counts)
 
 
-def _walk_tree(state, order, rngs):
+def _walk_tree(source, order, rngs):
     """Chain rule over the pivot tree of ``Sigma = (V + 1) / 2``: one (clicked, probs, counts) per rng, in lockstep.
 
     The tree pivots the modes in measurement order, one level per mode (``torontonian._pivot``). A node at depth d
@@ -306,15 +309,22 @@ def _walk_tree(state, order, rngs):
     keeps the in-children; a click keeps the out-children (T, sign flipped) too. Each level pivots only the nodes
     some sample is on, once for all of them: a node's in-set fixes its path, so distinct nodes have distinct
     children. Samples with the same outcomes so far share nodes, total and p, and walk as one group.
+
+    ``source`` is a zero-mean state or a zero-mean mixture. A mixture's marginals are ``sum_b w_b P_b``, so its
+    branches are the roots, each with its weight as its factor, and every sample starts on all of them with the
+    total ``fsum(w)``; a state is the one root of factor 1.
     """
-    modes = state.modes
-    pairs = (np.array(order)[:, None] - 1 + [0, modes]).ravel()
-    M = ((np.asarray(state.V) + np.eye(2 * modes)) / 2)[pairs[:, None], pairs][:, :, None]  # nodes along the last axis
-    factor = np.ones(1)
+    if isinstance(source, GaussianMixture):
+        source_labels, covs, factor = source.labels, source.covs, source.weights
+    else:
+        source_labels, covs, factor = range(1, source.modes + 1), np.asarray(source.V)[None], np.ones(1)
+    modes = len(source_labels)
+    pairs = (np.array([source_labels.index(label) for label in order])[:, None] + [0, modes]).ravel()
+    M = ((covs + np.eye(2 * modes)) / 2)[:, pairs[:, None], pairs].transpose(1, 2, 0)  # nodes along the last axis
     levels = []  # (number of in-children, parents of the out-children) of each level pivoted so far
     draws = [_coin(rng) for rng in rngs]
     # one group per outcome prefix: (nodes, exact sum of their factors, samples, (clicked, probs, counts) so far)
-    groups = [(np.zeros(1, dtype=np.intp), 1.0, range(len(rngs)), ((), (), ()))]
+    groups = [(np.arange(len(factor)), math.fsum(factor.tolist()), range(len(rngs)), ((), (), ()))]
 
     def error(node):  # the failing node's in-set, traced back through the levels, plus the mode being pivoted
         kept = [label]
@@ -323,8 +333,9 @@ def _walk_tree(state, order, rngs):
                 kept.append(done)
             else:
                 node = outs[node - width]
-        return PhysicalityError(f"Sigma_(T) = (V_(T) + 1) / 2 is not positive definite for modes T = {sorted(kept)}; "
-                                "the state is not physical")
+        branch = f" of branch {node}" if len(covs) > 1 else ""
+        return PhysicalityError(f"Sigma_(T) = (V_(T) + 1) / 2{branch} is not positive definite for modes "
+                                f"T = {sorted(kept)}; the state is not physical")
 
     for label in order:
         schur, scaled = _pivot(M, factor, error)
@@ -357,23 +368,26 @@ def _walk_tree(state, order, rngs):
     return walks
 
 
-def _sample_records(state, rngs, order):
-    """One SampleRecord per rng; the state alone picks the route.
+def _sample_records(source, rngs, order, seed=None, substreams=None):
+    """One SampleRecord per rng, carrying ``seed`` and its substream; the source alone picks the route.
 
-    Zero-mean states walk the pivot tree (``_walk_tree``), all rngs together; displaced states run
-    ``sample_mixture`` once per rng.
+    ``source`` is a state or a mixture whose labels are 1..modes. Zero-mean sources walk the pivot tree
+    (``_walk_tree``), all rngs together; a source with a nonzero mean runs ``sample_mixture`` once per rng.
     """
-    order = _measurement_order(range(1, state.modes + 1), order)
-    if np.any(state.r):
-        mixture = GaussianMixture.from_state(state)
+    plain = not isinstance(source, GaussianMixture)
+    labels = range(1, source.modes + 1) if plain else source.labels
+    order = _measurement_order(labels, order)
+    if np.any(source.r if plain else source.means):
+        mixture = GaussianMixture.from_state(source) if plain else source
         walks = []
         for rng in rngs:
             final, probs, counts = sample_mixture(mixture, rng, order=order)
-            walks.append((final.clicked_labels, probs, counts))
+            walks.append(([label for label, bit in final.history[len(mixture.history):] if bit], probs, counts))
     else:
-        walks = _walk_tree(state, order, rngs)
-    return [SampleRecord(ClickPattern(state.modes, tuple(sorted(clicked))), probs, counts)
-            for clicked, probs, counts in walks]
+        walks = _walk_tree(source, order, rngs)
+    substreams = substreams or [None] * len(rngs)
+    return [SampleRecord(ClickPattern(len(labels), tuple(sorted(clicked))), probs, counts, seed, substream)
+            for (clicked, probs, counts), substream in zip(walks, substreams)]
 
 
 def sample(state, rng, order=None):
@@ -399,8 +413,9 @@ def sample_batch(state, n, seed, order=None):
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    records = _sample_records(state, [_substream_rng(seed, i) for i in range(n)], order)
-    return [replace(rec, seed=int(seed), substream=substream_id(seed, i)) for i, rec in enumerate(records)]
+    substreams = [substream_id(seed, i) for i in range(n)]
+    rngs = [np.random.Generator(np.random.PCG64(substream)) for substream in substreams]
+    return _sample_records(state, rngs, order, int(seed), substreams)
 
 
 def herald(state, measured, outcomes, order=None):

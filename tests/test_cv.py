@@ -28,13 +28,14 @@ from gbsim.cv import (
     NEGATIVITY_PROBES,
     GaussianPOVM,
     OutcomeDensity,
+    _conditional_components,
     _invert_mixture_cdf,
     _unit_probe_points,
     measure_all_cv,
     paired_source_state,
 )
 from gbsim.gaussian import apply_interferometer, haar_unitary, random_state
-from gbsim.sampler import mixture_apply_interferometer
+from gbsim.sampler import _substream_rng, mixture_apply_interferometer
 
 from conftest import gauss_legendre_2d, integrate_density, tmsv
 
@@ -285,10 +286,33 @@ class TestInverseCdf:
         sig_x = np.sqrt(density.covs[:, 0, 0])
         x_cdf = np.sum(ndtr((xs[:, None] - density.means[:, 0]) / sig_x) * density.weights, axis=-1)
         assert np.abs(x_cdf - u[:, 0]).max() <= CDF_TOL
-        w, mu, var = density._conditional_components(xs)
+        w, mu, sig = _conditional_components(density.weights, density.means, density.covs, xs)
         assert w.shape == (64, 8) and np.ptp(w, axis=0).max() > 0
-        p_cdf = np.sum(ndtr((ps[:, None] - mu) / np.sqrt(var)) * w, axis=-1)
+        p_cdf = np.sum(ndtr((ps[:, None] - mu) / sig) * w, axis=-1)
         assert np.abs(p_cdf - u[:, 1]).max() <= CDF_TOL
+
+    def test_batch_rows_equal_solo_solves(self):
+        # a converged row stops moving, so whatever else is in the batch each row returns its solo solve's bits;
+        # the rows mix extreme quantiles (bracket widening) with ordinary ones, shared and per-row weights
+        rng = np.random.default_rng(25)
+        for heralds, het in ((1, False), (2, True), (3, False), (3, True)):
+            mixture, _ = herald(paired_source_state(4, heralds, 1.2), list(range(5, 5 + heralds)), [1] * heralds)
+            mixture = mixture_apply_interferometer(mixture, haar_unitary(4, rng).matrix)
+            densities = [outcome_density(marginal(mixture, mode), heterodyne() if het else homodyne())
+                         for mode in (1, 2, 3, 4)]
+            u = np.concatenate([self.QUANTILES, rng.random(8)])
+            rows = [densities[i % 4] for i in range(len(u))]
+            weights = np.array([d.weights for d in rows])
+            means = np.array([d.means[:, 0] for d in rows])
+            sigmas = np.sqrt([d.covs[:, 0, 0] for d in rows])
+            batch = _invert_mixture_cdf(u, weights, means, sigmas, CDF_TOL)
+            for i in range(len(u)):
+                alone = _invert_mixture_cdf(u[i:i + 1], weights[i], means[i], sigmas[i], CDF_TOL)
+                assert batch[i:i + 1].tobytes() == alone.tobytes()
+            shared = _invert_mixture_cdf(u, weights[0], means[0], sigmas[0], CDF_TOL)
+            for i in range(len(u)):
+                assert shared[i:i + 1].tobytes() == _invert_mixture_cdf(u[i:i + 1], weights[0], means[0], sigmas[0],
+                                                                      CDF_TOL).tobytes()
 
 
 class TestSampling:
@@ -513,8 +537,20 @@ class TestPipelines:
         b, _ = simulate_pipeline(config)
         assert a == b
 
+    @pytest.mark.parametrize("povm", [heterodyne(), homodyne()], ids=["het", "hom"])
+    def test_lockstep_shots_equal_solo_runs(self, povm):
+        # the shots share one inversion per coordinate and mode; each shot's records are those of its solo run
+        mixture, _ = herald(paired_source_state(5, 3, 1.0), [6, 7, 8], [1, 1, 1])
+        mixture = mixture_apply_interferometer(mixture, haar_unitary(5, np.random.default_rng(8)).matrix)
+        shots = measure_all_cv(mixture, povm, [_substream_rng(19, i) for i in range(9)])
+        for i, records in enumerate(shots):
+            [alone] = measure_all_cv(mixture, povm, [_substream_rng(19, i)])
+            assert [np.array(r["outcome"]).tobytes() for r in records] == [
+                np.array(r["outcome"]).tobytes() for r in alone]
+            assert records == alone
+
     def test_measure_all_cv_runs_out_modes(self):
         mixture, _ = herald(tmsv(0.8), [2], [1])
-        records = measure_all_cv(mixture, heterodyne(), np.random.default_rng(0))
+        [records] = measure_all_cv(mixture, heterodyne(), [np.random.default_rng(0)])
         assert len(records) == 1
         assert records[0]["mode"] == 1

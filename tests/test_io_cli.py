@@ -119,6 +119,8 @@ class TestCliExitCodes:
              "--out", "{out}"),
             ("prep", "--squeeze", "0.5,0.5", "--unitary", "haar(-3)", "--out", "{out}"),
             ("--seed", "-3", "prep", "--squeeze", "0.5,0.5", "--unitary", "haar", "--out", "{out}"),
+            ("--seed", "11", "cv", "--pipeline", "A", "--modes", "6", "--shots", "2", "--squeeze", "0.7",
+             "--out", "{out}"),
         ],
     )
     def test_malformed_list_argument_is_format_error(self, tmp_path, argv):

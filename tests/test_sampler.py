@@ -23,8 +23,9 @@ from gbsim import (
     threshold_prob,
     vacuum_state,
 )
-from gbsim.gaussian import random_state
-from gbsim.sampler import _substream_rng, sample_mixture
+from gbsim.cv import paired_source_state
+from gbsim.gaussian import haar_unitary, random_state
+from gbsim.sampler import _sample_records, _substream_rng, mixture_apply_interferometer, sample_mixture
 
 from conftest import tmsv
 
@@ -300,6 +301,54 @@ class TestSampleBatch:
             head = sample_batch(state, n // 2, seed=12)
             assert [_record_fields(r) for r in full[:n // 2]] == [_record_fields(r) for r in head]
             assert [r.substream for r in full[:n // 2]] == [r.substream for r in head]
+
+
+def _heralded_mixture(modes, heralds, seed):
+    mixture, _ = herald(paired_source_state(modes, heralds, 0.9), list(range(modes + 1, modes + heralds + 1)),
+                        [1] * heralds)
+    return mixture_apply_interferometer(mixture, haar_unitary(modes, np.random.default_rng(seed)).matrix)
+
+
+class TestMixtureWalk:
+    @pytest.mark.parametrize("modes, heralds, seed, order", [
+        (4, 2, 1, None), (6, 2, 2, None), (6, 3, 3, None), (7, 3, 4, [2, 7, 5, 1, 6, 3, 4]),
+        (5, 2, 5, [1, 2, 3, 4, 5]),
+    ])
+    def test_heralded_walk_matches_sample_mixture(self, modes, heralds, seed, order):
+        # a heralded source is a signed mixture of zero-mean states: its branches are the roots of one tree walk
+        mixture = _heralded_mixture(modes, heralds, seed)
+        records = _sample_records(mixture, [_substream_rng(seed, i) for i in range(40)], order)
+        assert max(rec.clicks for rec in records) >= 2
+        for i, rec in enumerate(records):
+            final, probs, counts = sample_mixture(mixture, _substream_rng(seed, i), order)
+            assert rec.pattern.clicked == tuple(sorted(set(final.clicked_labels) & set(mixture.labels)))
+            assert rec.branch_counts == counts
+            assert np.abs(np.subtract(rec.noclick_probs, probs)).max() <= 1e-9
+
+    def test_one_branch_mixture_walks_like_its_state(self):
+        state = random_state(7, np.random.default_rng(6), pure=False)
+        for order in (None, [3, 1, 7, 2, 6, 4, 5]):
+            alone = _sample_records(state, [_substream_rng(7, i) for i in range(30)], order)
+            mixture = GaussianMixture.from_state(state)
+            rooted = _sample_records(mixture, [_substream_rng(7, i) for i in range(30)], order)
+            assert max(rec.clicks for rec in alone) >= 2
+            assert [_record_fields(r) for r in rooted] == [_record_fields(r) for r in alone]
+
+    def test_displaced_mixture_takes_mixture_route(self):
+        # a coherent product state as a one-branch mixture: each no-click probability is exp(-(x^2 + p^2) / 4),
+        # which the zero-mean tree walk would miss; a displaced heralded mixture replays sample_mixture exactly
+        r = np.array([0.9, -1.4, 0.3, 0.5, 1.1, -0.7])
+        coherent = GaussianMixture.from_state(QuadratureState(np.eye(6), r))
+        closed = [math.exp(-(r[j - 1] ** 2 + r[j + 2] ** 2) / 4) for j in (3, 2, 1)]
+        for rec in _sample_records(coherent, [_substream_rng(8, i) for i in range(20)], None):
+            assert np.allclose(rec.noclick_probs, closed, rtol=0, atol=1e-12)
+        heralded = _heralded_mixture(4, 2, 9)
+        displaced = GaussianMixture(heralded.labels, heralded.weights, heralded.covs,
+                                    heralded.means + np.linspace(-0.6, 0.8, 8), heralded.history)
+        for i, rec in enumerate(_sample_records(displaced, [_substream_rng(9, i) for i in range(20)], None)):
+            final, probs, counts = sample_mixture(displaced, _substream_rng(9, i))
+            assert (rec.pattern.clicked, rec.noclick_probs, rec.branch_counts) == (
+                tuple(sorted(set(final.clicked_labels) & {1, 2, 3, 4})), probs, counts)
 
 
 class TestHerald:
