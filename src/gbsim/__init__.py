@@ -29,7 +29,7 @@ from .gaussian import (
     vacuum_state,
     validate_state,
 )
-from .hafnian import hafnian_from_torontonian, hafnian_naive, hafnian_powerset, hafnian_xo
+from .hafnian import hafnian_from_torontonian, hafnian_naive, hafnian_powerset
 from .probabilities import (
     CollisionReport,
     ThresholdDistribution,

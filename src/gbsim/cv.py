@@ -330,12 +330,15 @@ def measure_all_cv(mixture, povm, rngs, tol=CDF_TOL):
 
     The shots run in lockstep, one mode at a time. Each shot keeps its own mixture, density and backaction and
     draws its uniforms from its own rng, and one x and one p inversion per mode serve every shot: a row of the
-    inversion converges on its own, so each shot's outcomes are those of a run by itself.
+    inversion converges on its own, so each shot's outcomes are those of a run by itself. Until the first
+    backaction every shot holds the same mixture, so the first mode's density and its probe are built once.
     """
     mixtures = [mixture] * len(rngs)
     records = [[] for _ in rngs]
     for label in _measurement_order(mixture.labels, None):
-        densities = [outcome_density(marginal(m, label), povm) for m in mixtures]
+        distinct = {id(m): m for m in mixtures}
+        density_of = {key: outcome_density(marginal(m, label), povm) for key, m in distinct.items()}
+        densities = [density_of[id(m)] for m in mixtures]
         u = np.concatenate([rng.random((1, 2)) for rng in rngs])
         outcomes = _invert_outcomes(u, np.array([d.weights for d in densities]), np.array([d.means for d in densities]),
                                     np.array([d.covs for d in densities]), tol)

@@ -1,4 +1,4 @@
-"""Two independent Hafnian evaluators and the Torontonian series bridge.
+"""Hafnians: the perfect-matching oracle, the power-set trace formula, and Haf(X O) from the Torontonian series.
 
 ``hafnian_naive`` enumerates perfect matchings straight from the definition
 and serves as the oracle. ``hafnian_powerset`` evaluates the power-set
@@ -13,10 +13,13 @@ with the naive evaluator (exercised in the test suite and by the
 ``validate`` command); flipping either breaks 4x4 random inputs.
 
 The subset sum runs on the power-set engine of ``torontonian``: masks in
-chunks, each chunk grouped by popcount, the power traces of every group
-taken by batched matrix powers and the exp-of-power-sums recurrence run over
-the whole group, then one exact fsum over all 2^l signed terms. The same
-engine gives ``hafnian_from_torontonian`` through ``torontonian_series``.
+chunks, each chunk grouped by popcount, the eta series of every group taken
+from batched matrix powers, then one exact fsum over all 2^l signed terms.
+
+For a kernel O, (X O X)_(Z) has the power traces of O_(Z), so the same
+signed subset sum is the eta^l coefficient of Tor(eta O):
+``hafnian_from_torontonian`` takes Haf(X O) from ``torontonian_series``,
+the one route every probability uses.
 """
 
 from __future__ import annotations
@@ -25,17 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericalError
-from .gaussian import KernelMatrix
-from .torontonian import (
-    _as_kernel,
-    _chunk_terms,
-    _exp_series,
-    _fsum,
-    _power_traces,
-    _powerset_terms,
-    torontonian_series,
-)
+from .torontonian import _as_kernel, _chunk_terms, _eta_series, _fsum, _powerset_terms, torontonian_series
 
 NAIVE_MAX_DIM = 16  # (2m-1)!! growth; oracle scale
 POWERSET_MAX_DIM = 30
@@ -87,7 +80,7 @@ def hafnian_powerset(A):
         raise ValueError(f"power-set Hafnian limited to dimension {POWERSET_MAX_DIM}")
     half = n // 2
     AX = A if _WRONG_REDUCTION else A[:, np.r_[half:n, 0:half]]  # unswapped A: the mutation test's bug
-    terms_of = partial(_chunk_terms, AX, lambda blocks: _exp_series(_power_traces(blocks, half))[:, half])
+    terms_of = partial(_chunk_terms, AX, lambda blocks: _eta_series(half)(blocks)[:, half])
     total = _fsum(_powerset_terms(terms_of, half))
     return complex(-total if _SIGN_FLIP else total)
 
@@ -102,17 +95,3 @@ def hafnian_from_torontonian(O):
     O = _as_kernel(O)
     return float(torontonian_series(O, O.modes)[O.modes])
 
-
-def hafnian_xo(O):
-    """Haf(X O) for a kernel matrix, via the power-set evaluator.
-
-    The product X O is symmetric whenever O has the (alpha, alpha*) block
-    structure; the result must be real for physical kernels.
-    """
-    mat = np.asarray(O.matrix if isinstance(O, KernelMatrix) else O, dtype=complex)
-    modes = mat.shape[0] // 2
-    value = hafnian_powerset(mat[np.r_[modes:2 * modes, 0:modes]])  # X O: the two row blocks swapped
-    # power-trace roundoff leaves a tiny imaginary residue on large reductions
-    if abs(value.imag) > 1e-6 * max(1.0, abs(value.real)):
-        raise NumericalError(f"Haf(XO) should be real for physical kernels, got {value}")
-    return float(value.real)

@@ -5,10 +5,12 @@ probabilities are Hafnians, and the collision probability ties the two
 distributions together: the L1 distance between the PNR and threshold
 distributions equals the total collision probability.
 
+Every Hafnian comes by one route, the eta series of the Torontonian:
+Haf(X O_(s)) = [eta^n] Tor(eta O_(s)) for a count vector s of n photons.
 The whole distribution and the collision gaps take Tor(O_(S)) and
-Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S)) for every click set S from one
-power-set engine pass each over the full kernel; the higher coefficients
-of the same series give the collision patterns' PNR sums for the L1 distance.
+Haf(X O_(S)) for every click set S from one power-set engine pass each over
+the full kernel; the higher coefficients of the same series give the PNR
+sums of the L1 distance and of ``tor_as_hafnian_sum``.
 The full kernel's own series, det(1 - eta O)^(-1/2) / sqrt(det Sigma), is the
 total photon-number law of any zero-mean state, pure or mixed; every tail bound takes it.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from .gaussian import (
     squeezed_state,
     sqrt_det_sigma,
 )
-from .hafnian import hafnian_xo
-from .torontonian import _chunk_terms, _eta_series, _powerset_terms, _subset_sums, _tor_terms, torontonian
+from .hafnian import hafnian_from_torontonian
+from .torontonian import _eta_series, _real_form, _series_terms, _subset_sums, _tor_terms
+from .torontonian import torontonian, torontonian_series
 
 ENUMERATION_MODES = 12
 COLLISION_MODES = 10
@@ -71,12 +73,8 @@ def pnr_prob(state, pattern):
     if not isinstance(pattern, PNRPattern):
         pattern = PNRPattern(state.modes, tuple(pattern))
     sigma, kernel, sqdet = state_kernel(state)
-    return _clamp_probability(_pnr_term(kernel, pattern.counts) / sqdet, "pnr_prob")
-
-
-def _pnr_term(kernel, counts):
-    """Haf(X O_(s)) / prod(s_k!) for a mode-indexed count vector s."""
-    return hafnian_xo(reduce_matrix(kernel.matrix, counts)) / math.prod(math.factorial(c) for c in counts)
+    haf = hafnian_from_torontonian(reduce_matrix(kernel.matrix, pattern.counts))
+    return _clamp_probability(haf / (sqdet * math.prod(math.factorial(c) for c in pattern.counts)), "pnr_prob")
 
 
 def threshold_prob_oracle(state, pattern):
@@ -105,16 +103,6 @@ def threshold_prob_oracle(state, pattern):
     return _clamp_probability(total, "threshold_prob_oracle")
 
 
-def _patterns_with_support(modes, support, total):
-    """Mode-indexed count vectors, >= 1 on ``support`` (0-based) and 0 elsewhere, summing to ``total``."""
-    if total < len(support) or not support:
-        return
-    for cuts in itertools.combinations(range(1, total), len(support) - 1):
-        counts = np.zeros(modes, dtype=int)
-        counts[support] = np.diff((0,) + cuts + (total,))
-        yield counts
-
-
 @dataclass(frozen=True)
 class TorHafnianSum:
     """Partial sums of the PNR expansion of a Torontonian."""
@@ -128,10 +116,11 @@ class TorHafnianSum:
 def tor_as_hafnian_sum(state, pattern, photon_cutoff):
     """Expand Tor(O_(S)) as the sum of Hafnian terms over PNR patterns on S.
 
-    Sums Haf(X O_(S')) / prod(s'!) over all PNR patterns supported exactly
-    on the click set, with total photons up to ``photon_cutoff``. Partial
-    sums increase monotonically toward the Torontonian; the residual bound
-    is sqrt(det Sigma) times the probability of more than ``photon_cutoff``
+    The partial sum at N photons, the sum of Haf(X O_(s)) / prod(s!) over the
+    PNR patterns s of at most N photons supported exactly on S, is the fsum of
+    the series coefficients [eta^n] Tor(eta O_(S)), n = |S|..N. Partial sums
+    increase monotonically toward the Torontonian; the residual bound is
+    sqrt(det Sigma) times the probability of more than ``photon_cutoff``
     total photons, from the state's photon-number law (``_photon_law``).
     """
     _require_zero_mean(state)
@@ -141,17 +130,10 @@ def tor_as_hafnian_sum(state, pattern, photon_cutoff):
     if photon_cutoff < pattern.size:
         raise ValueError("photon cutoff below the click count")
     sigma, kernel, sqdet = state_kernel(state)
-    support = [i - 1 for i in pattern.clicked]
-    running = 0.0
-    partials = []
-    for total in range(pattern.size, photon_cutoff + 1):
-        for counts in _patterns_with_support(state.modes, support, total):
-            running += _pnr_term(kernel, counts)
-        partials.append((total, running))
-    if pattern.size == 0:
-        partials = [(0, 1.0)]
-        running = 1.0
-    return TorHafnianSum(pattern, tuple(partials), running, sqdet * _photon_law(kernel, sqdet, photon_cutoff)[1])
+    series = torontonian_series(reduce_matrix(kernel.matrix, pattern), photon_cutoff)
+    partials = [(total, math.fsum(series[pattern.size:total + 1])) for total in range(pattern.size, photon_cutoff + 1)]
+    return TorHafnianSum(pattern, tuple(partials), partials[-1][1],
+                         sqdet * _photon_law(kernel, sqdet, photon_cutoff)[1])
 
 
 @dataclass(frozen=True)
@@ -239,7 +221,7 @@ def _photon_law(kernel, sqdet, cutoff):
 
     P(N = n) = [eta^n] det(1 - eta O)^(-1/2) / sqrt(det Sigma): the full-kernel term of the engine's eta series.
     """
-    law = _eta_series(cutoff)(kernel.matrix[None])[0] / sqdet
+    law = _eta_series(cutoff)(_real_form(kernel.matrix)[None])[0] / sqdet
     return law, max(0.0, 1.0 - math.fsum(law))
 
 
@@ -292,7 +274,7 @@ def collision_probability(state, photon_cutoff="auto"):
     sigma, kernel, sqdet = state_kernel(state)
     tor = _subset_sums(_tor_terms(kernel.matrix)).tolist()
     order = state.modes if photon_cutoff is None else photon_cutoff
-    series = _subset_sums(_powerset_terms(partial(_chunk_terms, kernel.matrix, _eta_series(order)), state.modes))
+    series = _subset_sums(_series_terms(kernel.matrix, order))
     gaps = {}
     for mask, clicked in enumerate(_click_patterns(state.modes)):
         haf = float(series[mask, len(clicked)])  # Haf(X O_(S)) = [eta^|S|] Tor(eta O_(S))

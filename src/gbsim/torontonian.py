@@ -14,10 +14,12 @@ bitmask order (mask 0 .. 2^N - 1, bit k = mode k+1). It fills one array with
 all 2^N terms, 2^CHUNK_BITS masks at a time, and each result is one exact
 (Shewchuk/fsum) sum of that array, so the chunk size bounds working memory
 and never moves a result. The Torontonian's terms come from one
-Schur-complement tree over ``_real_form(O)``, the real xxpp form of 1 - O,
-in O(1) amortised work per subset (Griffin-Tsatsomeros, Linear Algebra
-Appl. 416, 2006). Its eta series and the power-set Hafnian in ``hafnian``
-take batched complex matrix-power traces of each chunk's blocks.
+Schur-complement tree over the real xxpp form of 1 - O (``_real_form``), in
+O(1) amortised work per subset (Griffin-Tsatsomeros, Linear Algebra Appl.
+416, 2006); its eta series from batched matrix-power traces of the form of O.
+That series is the one route to every kernel Hafnian: [eta^n] Tor(eta O_(S))
+sums Haf(X O_(s)) / prod s! over the count vectors s of n photons with
+support S (Bjorklund-Gupt-Quesada, arXiv:1805.12498).
 
 Every reduced kernel O_(S) has its terms among those of O, so the same
 2^N terms give the sums for all O_(S) at once (``_subset_sums``, the subset
@@ -187,27 +189,33 @@ def _subset_sums(terms):
     return -sums if _SIGN_FLIP else sums
 
 
-def _real_form(O):
-    """Real symmetric xxpp form R of 1 - O = [[A, B], [B*, A*]], the transform under (a_j, a_j*) -> (x_j, p_j).
+def _real_form(K):
+    """Real symmetric xxpp form R of K = [[A, B], [B*, A*]], the transform under (a_j, a_j*) -> (x_j, p_j).
 
     R = [[Re A + Re B, Im B - Im A], [Im A + Im B, Re A - Re B]], averaged with its transpose. It is built
-    entrywise by adds, so the form of O_(Z) is R_(Z) bit for bit, and det R_(Z) = det(1 - O_(Z)).
+    entrywise by adds, so the form of K_(Z) is R_(Z) bit for bit, and R_(Z) is similar to K_(Z): same determinant,
+    same power traces. The pivot tree takes the form of 1 - O, the eta series that of O itself, which avoids
+    a 1 - (1 - x) cancellation on the diagonal.
     """
-    n = O.shape[0] // 2
-    A = np.eye(n) - O[:n, :n]
-    B = -O[:n, n:]
+    n = K.shape[0] // 2
+    A, B = K[:n, :n], K[:n, n:]
     R = np.block([[A.real + B.real, B.imag - A.imag], [A.imag + B.imag, A.real - B.real]])
     return 0.5 * (R + R.T)
 
 
 def _tor_terms(O):
     """All 2^N signed Torontonian terms of the kernel array O, in mask order, from the pivot tree."""
-    return _powerset_terms(partial(_minor_terms, _real_form(O)), O.shape[0] // 2)
+    return _powerset_terms(partial(_minor_terms, _real_form(np.eye(len(O)) - O)), len(O) // 2)
+
+
+def _series_terms(O, order):
+    """All 2^N signed terms of the eta series of Tor(eta O) to ``order``, (2^N, order + 1), in mask order."""
+    return _powerset_terms(partial(_chunk_terms, _real_form(O), _eta_series(order)), len(O) // 2)
 
 
 def _power_traces(blocks, order):
-    """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order), by batched matrix powers."""
-    traces = np.empty((len(blocks), order), dtype=complex)
+    """Tr(C^k) for k = 1..order of every block of a (B, d, d) stack, as (B, order) in its dtype, by matrix powers."""
+    traces = np.empty((len(blocks), order), dtype=blocks.dtype)
     power = blocks
     for k in range(order):
         if k:
@@ -217,11 +225,11 @@ def _power_traces(blocks, order):
 
 
 def _eta_series(order):
-    """Engine evaluator: coefficients 0..order of the eta series of det(1 - eta C)^(-1/2), C Hermitian.
+    """Engine evaluator: coefficients 0..order of the eta series of det(1 - eta C)^(-1/2), in C's dtype.
 
-    Traces of Hermitian powers are real; the real part drops their imaginary roundoff.
+    The Torontonian series runs it on real symmetric xxpp blocks, the power-set Hafnian on complex ones.
     """
-    return lambda blocks: _exp_series(_power_traces(blocks, order).real)
+    return lambda blocks: _exp_series(_power_traces(blocks, order))
 
 
 def _exp_series(traces):
@@ -274,11 +282,10 @@ def torontonian_series(O, order):
     """Power-series coefficients c_0 .. c_order of Tor(eta * O) in eta.
 
     Each subset contributes the series of det(1 - eta O_(Z))^(-1/2),
-    computed from the traces of the powers of O_(Z); the signed subset
-    sum then yields the coefficients. c_0 = 0 whenever N >= 1.
+    computed from the power traces of the real xxpp form of O_(Z); the
+    signed subset sum then yields the coefficients. c_0 = 0 whenever N >= 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    O = _as_kernel(O)
-    coeffs = _fsum(_powerset_terms(partial(_chunk_terms, O.matrix, _eta_series(order)), O.modes))
+    coeffs = _fsum(_series_terms(_as_kernel(O).matrix, order))
     return -coeffs if _SIGN_FLIP else coeffs

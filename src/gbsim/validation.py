@@ -2,9 +2,10 @@
 
 Each check pits one evaluation route against an independent one (perfect
 matchings vs power-set Hafnian, Torontonian vs vacuum-overlap inclusion-
-exclusion, series bridge, PNR expansion, L1/collision identity, sampler
-vs enumeration) and reports the worst residual. The ``mutate`` hook flips
-an internal convention so the suite can prove it would catch the bug.
+exclusion, series bridge vs perfect matchings, PNR expansion, L1/collision
+identity, sampler vs enumeration) and reports the worst residual. The
+``mutate`` hook flips an internal convention so the suite can prove it
+would catch the bug.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import random_state, reduce_matrix
-from .hafnian import hafnian_naive, hafnian_powerset, hafnian_from_torontonian, hafnian_xo
+from .gaussian import block_swap, random_state, reduce_matrix
+from .hafnian import hafnian_naive, hafnian_powerset, hafnian_from_torontonian
 from .probabilities import (
     collision_probability,
     distribution,
@@ -122,11 +123,12 @@ def check_threshold_oracle(rng, states=10, max_modes=4):
 
 
 def check_bridge(rng, states=6, max_modes=4):
-    """Series coefficient of Tor(eta O) against Haf(XO).
+    """Series coefficient of Tor(eta O), the one route of every kernel Hafnian, against matchings of X O.
 
-    Mixed states keep odd-mode Hafnians away from the parity zero, so the
-    relative comparison stays meaningful; a small floor guards the cases
-    where both routes return roundoff-level values.
+    ``hafnian_naive`` enumerates the perfect matchings of X O and shares no
+    code with the series. Mixed states keep odd-mode Hafnians away from the
+    parity zero, so the relative comparison stays meaningful; a small floor
+    guards the cases where both routes return roundoff-level values.
     """
     worst = 0.0
     for _ in range(states):
@@ -134,7 +136,7 @@ def check_bridge(rng, states=6, max_modes=4):
         state = random_state(modes, rng, max_squeezing=0.6, pure=modes % 2 == 0)
         _, kernel, _ = state_kernel(state)
         a = hafnian_from_torontonian(kernel)
-        b = hafnian_xo(kernel)
+        b = hafnian_naive(block_swap(modes) @ kernel.matrix)
         worst = max(worst, abs(a - b) / (abs(b) + 1e-5))
     return CheckResult("bridge", worst < 1e-7, worst, 1e-7,
                        f"{states} random kernels up to {max_modes} modes")

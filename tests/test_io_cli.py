@@ -361,6 +361,7 @@ class TestCliValidate:
         out = json.loads(capsys.readouterr().out)
         failed = {c["name"] for c in out["checks"] if not c["passed"]}
         assert "threshold_oracle" in failed
+        assert "bridge" in failed  # the flipped series against perfect matchings
 
     def test_wrong_reduction_caught(self, capsys):
         assert run_cli("--seed", 123, "validate", "--scale", "small", "--mutate", "haf_wrong_reduction") == 1
@@ -426,7 +427,7 @@ class TestCliImport:
             "PhysicalityError", "PipelineConfig", "QuadratureState", "SampleRecord", "ThresholdDistribution",
             "TorontonianResult", "apply_interferometer", "backaction", "chain_rule_probability",
             "collision_probability", "distribution", "haar_collision_experiment", "haar_unitary",
-            "hafnian_from_torontonian", "hafnian_naive", "hafnian_powerset", "hafnian_xo", "herald", "heterodyne",
+            "hafnian_from_torontonian", "hafnian_naive", "hafnian_powerset", "herald", "heterodyne",
             "homodyne", "husimi_covariance", "kernel_matrix", "marginal", "outcome_density", "photon_moments",
             "pnr_prob", "q_function", "quadrature_covariance", "reduce_matrix", "reduce_state", "sample",
             "sample_batch", "sample_outcomes", "simulate_pipeline", "squeezed_state", "step", "substream_id",

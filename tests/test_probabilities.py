@@ -12,6 +12,7 @@ from gbsim import (
     distribution,
     haar_collision_experiment,
     haar_unitary,
+    hafnian_naive,
     photon_moments,
     pnr_prob,
     squeezed_state,
@@ -21,10 +22,16 @@ from gbsim import (
     torontonian,
     vacuum_state,
 )
-from gbsim.gaussian import random_state, reduce_matrix
+from gbsim.gaussian import block_swap, random_state, reduce_matrix
 from gbsim.probabilities import _covariance_photon_moments, _photon_law, state_kernel
 
 from conftest import tmsv
+
+
+def matching_pnr_term(kernel, counts):
+    """Haf(X O_(s)) / prod(s_k!) by perfect-matching enumeration, independent of the Torontonian series."""
+    haf = hafnian_naive(block_swap(sum(counts)) @ reduce_matrix(kernel.matrix, counts))
+    return haf.real / math.prod(math.factorial(c) for c in counts)
 
 
 def random_and_haar_states(modes, rng):
@@ -92,6 +99,18 @@ class TestPnrProb:
         p = pnr_prob(tmsv(r), (1, 1))
         assert p == pytest.approx(math.tanh(r) ** 2 / math.cosh(r) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("counts", [(2, 0, 1, 1), (3, 1, 0, 2), (1, 1, 1, 1), (0, 2, 0, 2), (0, 0, 3, 0)])
+    def test_matches_perfect_matchings(self, rng, counts):
+        states = [
+            random_state(4, rng),
+            random_state(4, rng, pure=False),
+            apply_interferometer(squeezed_state([0.8] * 4), haar_unitary(4, rng)),
+        ]
+        for state in states:
+            _, kernel, sqdet = state_kernel(state)
+            expect = matching_pnr_term(kernel, counts) / sqdet
+            assert pnr_prob(state, counts) == pytest.approx(expect, rel=1e-9, abs=1e-14)
+
     def test_pnr_fock_law_many_orders(self):
         # squeezed-vacuum Fock weights p(2m) = tanh^2m(r) (2m)!/(4^m m!^2 cosh r)
         r = 0.9
@@ -118,11 +137,28 @@ class TestTorAsHafnianSum:
     def test_first_term_is_all_ones_hafnian(self, rng):
         state = random_state(3, rng, max_squeezing=0.5)
         result = tor_as_hafnian_sum(state, (1, 3), photon_cutoff=2)
-        from gbsim.hafnian import hafnian_xo
-
         _, kernel, _ = state_kernel(state)
-        expect = hafnian_xo(reduce_matrix(kernel.matrix, (1, 0, 1)))
+        expect = matching_pnr_term(kernel, (1, 0, 1))
         assert result.partial_sums[0][1] == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_partial_sums_match_per_pattern_hafnians(self, pure):
+        # the referee sums one matching Hafnian per count vector with support exactly S
+        state = random_state(3, np.random.default_rng(4), pure=pure)
+        _, kernel, _ = state_kernel(state)
+        clicked, cutoff = (1, 3), 6
+        running, expect = 0.0, []
+        for total in range(len(clicked), cutoff + 1):
+            for on_clicked in itertools.product(range(1, total + 1), repeat=len(clicked)):
+                if sum(on_clicked) == total:
+                    counts = [0] * state.modes
+                    for mode, count in zip(clicked, on_clicked):
+                        counts[mode - 1] = count
+                    running += matching_pnr_term(kernel, counts)
+            expect.append((total, running))
+        result = tor_as_hafnian_sum(state, clicked, photon_cutoff=cutoff)
+        assert [total for total, _ in result.partial_sums] == [total for total, _ in expect]
+        np.testing.assert_allclose([s for _, s in result.partial_sums], [s for _, s in expect], rtol=1e-10, atol=1e-14)
 
     def test_single_mode_partial_sums_closed_form(self):
         # partial sums are the central-binomial series of cosh(r) - 1
@@ -276,7 +312,7 @@ class TestCollision:
 
     @pytest.mark.parametrize("modes", [1, 2, 4, 6])
     def test_gaps_match_threshold_minus_pnr(self, rng, modes):
-        # pnr_prob evaluates each Hafnian on its own through hafnian_xo
+        # pnr_prob takes each Hafnian from its own reduced kernel's series, not from the collision pass
         for state in random_and_haar_states(modes, rng):
             for clicked, gap in collision_probability(state, photon_cutoff=None).gaps.items():
                 counts = tuple(int(i + 1 in clicked) for i in range(modes))

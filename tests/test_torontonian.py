@@ -93,6 +93,11 @@ def subset_rows(mask, modes):
     return np.array(kept + [i + modes for i in kept], dtype=int)
 
 
+def tree_form(O):
+    """The real xxpp form of 1 - O, the matrix the Torontonian's pivot tree reads."""
+    return _real_form(np.eye(len(O)) - O)
+
+
 def squeezed_kernel(r):
     t = math.tanh(r)
     return np.array([[0, t], [t, 0]], dtype=complex)
@@ -211,10 +216,10 @@ class TestRealForm:
         assert _minor_terms(np.zeros((0, 0)), 0, 1)[-1] == 1.0
 
     def test_vacuum_block(self):
-        assert _minor_terms(_real_form(np.zeros((2, 2))), 0, 2)[-1] == pytest.approx(1.0)
+        assert _minor_terms(_real_form(np.eye(2)), 0, 2)[-1] == pytest.approx(1.0)
 
     def test_squeezed_block(self):
-        value = _minor_terms(_real_form(squeezed_kernel(1.0)), 0, 2)[-1] ** -2
+        value = _minor_terms(_real_form(np.eye(2) - squeezed_kernel(1.0)), 0, 2)[-1] ** -2
         assert value == pytest.approx(1 - math.tanh(1.0) ** 2, rel=1e-12)
         assert value == pytest.approx(0.419974, abs=5e-7)
 
@@ -226,14 +231,14 @@ class TestRealForm:
             apply_interferometer(squeezed_state([0.6] * modes), haar_unitary(modes, rng)),
         ]
         for state in states:
-            R = _real_form(kernel_of(state).matrix)
+            R = tree_form(kernel_of(state).matrix)
             np.testing.assert_allclose(_minor_terms(R, 0, 1 << modes), slogdet_terms(R), rtol=1e-12, atol=0)
 
     def test_tree_spans_chunks(self):
         # 15 modes: four chunks of 8192 subsets, each entered along its own path.
         rng = np.random.default_rng(0)
         state = apply_interferometer(squeezed_state([0.4] * 15), haar_unitary(15, rng))
-        R = _real_form(kernel_of(state).matrix)
+        R = tree_form(kernel_of(state).matrix)
         reference = slogdet_terms(R)
         chunks = [_minor_terms(R, start, start + 8192) for start in range(0, 1 << 15, 8192)]
         np.testing.assert_allclose(np.concatenate(chunks), reference, rtol=1e-12, atol=0)
@@ -244,15 +249,21 @@ class TestRealForm:
 
     def test_symmetric_with_the_subset_determinants(self, rng):
         for modes in range(1, 7):
-            for _ in range(3):
-                O = kernel_of(random_state(modes, rng)).matrix
-                R = _real_form(O)
-                assert R.dtype == np.float64
-                assert np.array_equal(R, R.T)
+            for pure in (True, False):  # a mixed state's A block is complex too
+                O = kernel_of(random_state(modes, rng, pure=pure)).matrix
+                R, S = tree_form(O), _real_form(O)
+                assert R.dtype == S.dtype == np.float64
+                assert np.array_equal(R, R.T) and np.array_equal(S, S.T)
                 for mask in range(1, 1 << modes):
                     idx = subset_rows(mask, modes)
-                    want = np.linalg.det(np.eye(len(idx)) - O[np.ix_(idx, idx)]).real
+                    block = O[np.ix_(idx, idx)]
+                    want = np.linalg.det(np.eye(len(idx)) - block).real
                     assert np.linalg.det(R[np.ix_(idx, idx)]) == pytest.approx(want, rel=1e-12)
+                    # the eta series reads the power traces of the form of O_(Z) itself
+                    for k in (1, 2, 3):
+                        want = np.trace(np.linalg.matrix_power(block, k)).real
+                        got = np.trace(np.linalg.matrix_power(S[np.ix_(idx, idx)], k))
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_reduction_commutes_bitwise(self, rng):
         for modes in (3, 6, 9):
@@ -323,8 +334,10 @@ class TestTorontonianSeries:
     def test_bridge_matches_extended_precision(self):
         # Collision-free 6-photon patterns of a 16-mode Haar state at squeezing 0.6.
         # The subset sum cancels, so the error is bounded by 2^-53 times the sum
-        # of the absolute terms: matrix-power traces stay at or below 0.9 of that
-        # over 20 seeds of 6 patterns, eigenvalue traces reach 1.2-5.3 per seed.
+        # of the absolute terms. Over seeds 1-40 of 6 patterns, the worst error
+        # per seed reaches 0.92 of that bound (seed 32) with matrix-power traces
+        # of the real xxpp blocks of O, 1.09 (seed 38) with those of the complex
+        # blocks O_(Z); eigenvalue traces reached 1.2-5.3 per seed over seeds 1-20.
         rng = np.random.default_rng(1)
         state = apply_interferometer(squeezed_state([0.6] * 16), haar_unitary(16, rng))
         K = kernel_of(state).matrix
