@@ -5,6 +5,8 @@ click). Each size is timed with one warmup run followed by five measured
 runs; the per-size value is the median of the five and the doubling
 factor comes from a least-squares fit of log(median) against size,
 excluding the two smallest sizes where fixed overhead still matters.
+Runs are timed in CPU seconds of this process (``time.process_time``), so
+other load on the machine moves them less; the CSV holds CPU seconds.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def _time_runs(fn, repeats):
     fn()  # warmup
     samples = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         fn()
-        samples.append(time.perf_counter() - start)
+        samples.append(time.process_time() - start)
     arr = np.asarray(samples)
     return float(np.median(arr)), float(arr.mean()), float(arr.std(ddof=1))
 
@@ -81,11 +83,12 @@ def bench_torontonian(sizes, seed, repeats=REPEATS):
 
 
 def bench_sampler(click_counts, seed, repeats=REPEATS):
-    """Time one forced-path sample with a growing number of clicks.
+    """Time one forced-path ``chain_rule_probability`` with a growing number of clicks.
 
-    Clicks are forced on the lowest-index modes, which are measured last,
-    so the branch count doubles at the tail of the pass and the total work
-    tracks 2^clicks.
+    This is the signed-mixture chain rule, not the pivot tree of sampling
+    and zero-mean ``herald``. Clicks are forced on the lowest-index modes,
+    which are measured last, so the branch count doubles at the tail of the
+    pass and the total work tracks 2^clicks.
     """
     click_counts = sorted(int(k) for k in click_counts)
     if click_counts and click_counts[-1] > SAMPLER_MODES:

@@ -98,7 +98,7 @@ def marginal(mixture, mode):
     """Single-mode marginal of a mixture: 2x2 blocks, weights unchanged."""
     if isinstance(mixture, QuadratureState):
         mixture = GaussianMixture.from_state(mixture)
-    pos = _mode_position(mixture, mode)
+    pos = _mode_position(mixture.labels, mode)
     m = mixture.modes
     idx = np.array([pos, pos + m])
     return GaussianMixture(
@@ -309,7 +309,7 @@ def backaction(mixture, mode, povm, outcome):
     outcome = np.asarray(outcome, dtype=float).reshape(2)
     if not np.all(np.isfinite(outcome)):
         raise ValueError("outcome must be finite")
-    pos = _mode_position(mixture, mode)
+    pos = _mode_position(mixture.labels, mode)
     g, _, _, covs, means = _condition(mixture.covs, mixture.means, pos, povm.W, outcome)
     density = g / (2 * math.pi)
     p = float(mixture.weights @ density)

@@ -1,8 +1,9 @@
 """Exact threshold-detector sampling by mode-by-mode chain-rule conditioning.
 
 Each step's no-click probability is a ratio of two marginals of the
-already-drawn outcomes. The sampler takes one of two routes, decided by the
-source alone, a state or a signed mixture (``_sample_records``):
+already-drawn outcomes. The sampler and ``herald`` take one of two routes,
+decided by the source alone, a state or a signed mixture (``_sample_records``,
+``herald``):
 
 * Zero-mean sources, of any size, walk the Torontonian's pivot tree over
   ``Sigma = (V + 1) / 2`` (``_walk_tree``, one ``torontonian._pivot`` per
@@ -13,7 +14,8 @@ source alone, a state or a signed mixture (``_sample_records``):
   sample of the batch is on, ``O(l^2)`` entries per node, shared by every
   sample on it; no ``2^l`` table is built. A zero-mean mixture, such as a
   heralded source, has the marginals ``sum_b w_b P_b``: its branches are
-  the roots of the walk, each with its weight as its factor.
+  the roots of the walk, each with its weight as its factor. ``herald``
+  walks one forced path: its 2^clicks end nodes are the heralded branches.
 * Displaced sources run as a signed mixture of Gaussian states. Projecting
   one mode onto vacuum is a Gaussian (Schur-complement) update; a click
   splits every branch into the unconditioned marginal minus the
@@ -26,8 +28,9 @@ one Gaussian-conditioning step, ``_condition``, updates each branch in
 turn, so the per-sample cost follows the branch count directly (one Schur
 complement per branch per mode); ``cv.backaction`` shares it. The one
 threshold step, ``_advance``, calls it; ``step`` and ``sample_mixture``
-draw its outcome by one coin rule; ``herald`` forces it. The tree walk
-draws by the same coin rule.
+draw its outcome by one coin rule (``_coin``); ``herald`` and
+``chain_rule_probability`` force it (``_Forced``). The tree walk draws by the
+same two rules; ``chain_rule_probability`` never walks it.
 
 The per-mode no-click weight of a branch with block ``V_B`` and mean
 ``r_B`` is the vacuum overlap, twice the heterodyne factor at outcome 0:
@@ -159,11 +162,11 @@ class GaussianMixture:
         return worst
 
 
-def _mode_position(mixture, label):
+def _mode_position(labels, label):
     try:
-        return mixture.labels.index(label)
+        return labels.index(label)
     except ValueError:
-        raise ValueError(f"mode {label} is not available (remaining: {mixture.labels})") from None
+        raise ValueError(f"mode {label} is not available (remaining: {tuple(labels)})") from None
 
 
 def _condition(covs, means, pos, W, y):
@@ -207,29 +210,42 @@ def _condition(covs, means, pos, W, y):
 
 def _coin(rng):
     """The draw rule: one uniform draw u per step, a click when u >= p (the no-click probability)."""
-    return lambda p: 1 if rng.random() >= p else 0
+    return lambda label, p: 1 if rng.random() >= p else 0
+
+
+class _Forced:
+    """The draw rule of a forced path: ``outcomes[label]`` whatever p; ``probability`` is the path's so far.
+
+    A step, or the path, whose probability falls below MIN_EVENT_PROB raises before any route divides by it.
+    """
+
+    def __init__(self, outcomes):
+        self.outcomes, self.probability = outcomes, 1.0
+
+    def __call__(self, label, p):
+        bit = self.outcomes[label]
+        step = (1.0 - p) if bit else p
+        self.probability *= step
+        if min(step, self.probability) < MIN_EVENT_PROB:
+            raise NumericalError(f"forced {'click' if bit else 'no-click'} on mode {label} has vanishing probability")
+        return bit
 
 
 def _advance(mixture, label, outcome):
     """Threshold-measure mode ``label``: (p, new mixture), p the mixture no-click probability.
 
-    ``outcome`` is a forced bit or a rule mapping p to a bit (``_coin``);
-    the realized bit is ``new.history[-1][1]``.
+    ``outcome`` is a forced bit or a rule mapping (label, p) to a bit (``_coin``, ``_Forced``); the realized bit
+    is ``new.history[-1][1]``.
     """
-    pos = _mode_position(mixture, label)
+    pos = _mode_position(mixture.labels, label)
     g, marg_cov, marg_mean, cond_cov, cond_mean = _condition(mixture.covs, mixture.means, pos, _VACUUM_W, 0.0)
     q = 2.0 * g
     p = _clamp_probability(float(mixture.weights @ q), f"no-click on mode {label}")
-    if callable(outcome):
-        outcome = outcome(p)
+    outcome = (outcome if callable(outcome) else _Forced({label: outcome}))(label, p)
     if outcome == 0:
-        if p < MIN_EVENT_PROB:
-            raise NumericalError(f"forced no-click on mode {label} has vanishing probability")
         weights = mixture.weights * q / p
         covs, means = cond_cov, cond_mean
     else:
-        if 1.0 - p < MIN_EVENT_PROB:
-            raise NumericalError(f"forced click on mode {label} has vanishing probability")
         weights = np.concatenate([mixture.weights, -mixture.weights * q]) / (1.0 - p)
         covs, means = np.concatenate([marg_cov, cond_cov]), np.concatenate([marg_mean, cond_mean])
     return p, GaussianMixture(
@@ -286,20 +302,24 @@ def _measurement_order(labels, order):
     return order
 
 
-def sample_mixture(mixture, rng, order=None):
-    """Run the chain rule over all remaining modes of a mixture."""
-    draw = _coin(rng)
+def _chain(mixture, order, draw):
+    """The signed-mixture chain rule, one ``_advance`` per mode of ``order``: (mixture, probs, branch counts)."""
     probs = []
     counts = []
-    for label in _measurement_order(mixture.labels, order):
+    for label in order:
         p, mixture = _advance(mixture, label, draw)
         probs.append(p)
         counts.append(mixture.branch_count)
     return mixture, tuple(probs), tuple(counts)
 
 
-def _walk_tree(source, order, rngs):
-    """Chain rule over the pivot tree of ``Sigma = (V + 1) / 2``: one (clicked, probs, counts) per rng, in lockstep.
+def sample_mixture(mixture, rng, order=None):
+    """Run the chain rule over all remaining modes of a mixture."""
+    return _chain(mixture, _measurement_order(mixture.labels, order), _coin(rng))
+
+
+def _walk_tree(source, order, draws):
+    """Chain rule over the pivot tree of ``Sigma = (V + 1) / 2``: (one (clicked, probs, counts) per draw, M, factor).
 
     The tree pivots the modes in measurement order, one level per mode (``torontonian._pivot``). A node at depth d
     stands for the set T of measured modes kept "in"; its factor is (-1)^(d - |T|) v(T), v(T) = det(Sigma_(T))^(-1/2)
@@ -312,19 +332,22 @@ def _walk_tree(source, order, rngs):
 
     ``source`` is a zero-mean state or a zero-mean mixture. A mixture's marginals are ``sum_b w_b P_b``, so its
     branches are the roots, each with its weight as its factor, and every sample starts on all of them with the
-    total ``fsum(w)``; a state is the one root of factor 1.
+    total ``fsum(w)``; a state is the one root of factor 1. Modes outside ``order`` stay in the node blocks, after
+    the measured ones, as (x, p) pairs, in ``M``, the last level's blocks; ``factor`` holds their factors. Each of
+    ``draws`` is one sample's rule mapping (label, p) to its bit (``_coin``, or ``_Forced`` for a herald).
     """
     if isinstance(source, GaussianMixture):
         source_labels, covs, factor = source.labels, source.covs, source.weights
     else:
         source_labels, covs, factor = range(1, source.modes + 1), np.asarray(source.V)[None], np.ones(1)
     modes = len(source_labels)
-    pairs = (np.array([source_labels.index(label) for label in order])[:, None] + [0, modes]).ravel()
+    rest = [label for label in source_labels if label not in order]
+    pairs = (np.array([_mode_position(source_labels, label) for label in order + rest], dtype=int)[:, None]
+             + [0, modes]).ravel()
     M = ((covs + np.eye(2 * modes)) / 2)[:, pairs[:, None], pairs].transpose(1, 2, 0)  # nodes along the last axis
     levels = []  # (number of in-children, parents of the out-children) of each level pivoted so far
-    draws = [_coin(rng) for rng in rngs]
     # one group per outcome prefix: (nodes, exact sum of their factors, samples, (clicked, probs, counts) so far)
-    groups = [(np.arange(len(factor)), math.fsum(factor.tolist()), range(len(rngs)), ((), (), ()))]
+    groups = [(np.arange(len(factor)), math.fsum(factor.tolist()), range(len(draws)), ((), (), ()))]
 
     def error(node):  # the failing node's in-set, traced back through the levels, plus the mode being pivoted
         kept = [label]
@@ -334,8 +357,10 @@ def _walk_tree(source, order, rngs):
             else:
                 node = outs[node - width]
         branch = f" of branch {node}" if len(covs) > 1 else ""
-        return PhysicalityError(f"Sigma_(T) = (V_(T) + 1) / 2{branch} is not positive definite for modes "
-                                f"T = {sorted(kept)}; the state is not physical")
+        fault, what = ((NumericalError, "mixture is corrupted") if isinstance(source, GaussianMixture)
+                       else (PhysicalityError, "state is not physical"))
+        return fault(f"Sigma_(T) = (V_(T) + 1) / 2{branch} is not positive definite for modes "
+                     f"T = {sorted(kept)}; the {what}")
 
     for label in order:
         schur, scaled = _pivot(M, factor, error)
@@ -345,7 +370,7 @@ def _walk_tree(source, order, rngs):
             p = _clamp_probability(num / total, f"no-click on mode {label}")
             split = ([], [])
             for s in members:
-                split[draws[s](p)].append(s)
+                split[draws[s](label, p)].append(s)
             if split[0]:
                 silent.append((nodes, num, split[0], (labels, probs + (p,), counts + (len(nodes),))))
             if split[1]:
@@ -361,11 +386,11 @@ def _walk_tree(source, order, rngs):
                            for nodes, total, members, walk in clicked]
         M = np.concatenate([schur, M[2:, 2:, outs]], axis=-1)
         factor = np.concatenate([scaled, -factor[outs]])
-    walks = [None] * len(rngs)
+    walks = [None] * len(draws)
     for _, _, members, walk in groups:
         for s in members:
             walks[s] = walk
-    return walks
+    return walks, M, factor
 
 
 def _sample_records(source, rngs, order, seed=None, substreams=None):
@@ -384,7 +409,7 @@ def _sample_records(source, rngs, order, seed=None, substreams=None):
             final, probs, counts = sample_mixture(mixture, rng, order=order)
             walks.append(([label for label, bit in final.history[len(mixture.history):] if bit], probs, counts))
     else:
-        walks = _walk_tree(source, order, rngs)
+        walks = _walk_tree(source, order, [_coin(rng) for rng in rngs])[0]
     substreams = substreams or [None] * len(rngs)
     return [SampleRecord(ClickPattern(len(labels), tuple(sorted(clicked))), probs, counts, seed, substream)
             for (clicked, probs, counts), substream in zip(walks, substreams)]
@@ -427,6 +452,11 @@ def herald(state, measured, outcomes, order=None):
     (mixture on the unmeasured modes, heralding probability); the
     probability equals the threshold probability of the corresponding
     pattern of the marginal state on the measured modes.
+
+    A zero-mean source walks the forced path of the pivot tree (``_walk_tree``):
+    each end node, block ``M`` of the unmeasured modes, is a branch of covariance
+    ``2 M - 1`` and weight its factor over the total, in ``_advance``'s order. A
+    displaced source runs the signed mixture (``_chain``).
     """
     measured = [int(m) for m in measured]
     if len(set(measured)) != len(measured):
@@ -434,15 +464,19 @@ def herald(state, measured, outcomes, order=None):
     outcomes = [int(b) for b in outcomes]
     if len(outcomes) != len(measured) or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one outcome, 0 or 1, per measured mode")
-    forced = dict(zip(measured, outcomes))
     mixture = state if isinstance(state, GaussianMixture) else GaussianMixture.from_state(state)
-    probability = 1.0
-    for label in _measurement_order(measured, order):
-        p, mixture = _advance(mixture, label, forced[label])
-        probability *= (1.0 - p) if forced[label] else p
-        if probability < MIN_EVENT_PROB:
-            raise NumericalError("forced outcome has probability below 1e-300")
-    return mixture, probability
+    order = _measurement_order(measured, order)
+    draw = _Forced(dict(zip(measured, outcomes)))
+    if np.any(mixture.means):
+        return _chain(mixture, order, draw)[0], draw.probability
+    _, M, factor = _walk_tree(mixture, order, [draw])
+    rest = tuple(label for label in mixture.labels if label not in draw.outcomes)
+    loop = np.arange(len(factor)).reshape(-1, mixture.branch_count)[::-1].ravel()  # _advance's order: out-child first
+    xxpp = np.arange(2 * len(rest)).reshape(-1, 2).T.ravel()
+    covs = 2 * M[xxpp[:, None], xxpp][:, :, loop].transpose(2, 0, 1) - np.eye(2 * len(rest))
+    history = mixture.history + tuple((label, draw.outcomes[label]) for label in order)
+    return (GaussianMixture(rest, factor[loop] / math.fsum(factor.tolist()), covs, np.zeros(covs.shape[:2]), history),
+            draw.probability)
 
 
 def mixture_apply_interferometer(mixture, unitary):
@@ -458,10 +492,12 @@ def mixture_apply_interferometer(mixture, unitary):
 
 
 def chain_rule_probability(state, pattern, order=None):
-    """Probability of a full pattern: ``herald`` on every mode, a product of forced-step factors.
+    """Probability of a full pattern by the signed-mixture chain rule (``_chain``), a product of forced-step factors.
 
-    Equals the Torontonian-based threshold probability; used as the
-    chain-rule consistency check.
+    Each step conditions every Gaussian branch on its outcome, one Schur complement per branch, so this route
+    shares no arithmetic with the pivot trees of ``threshold_prob``, ``sample`` and zero-mean ``herald``;
+    it is their chain-rule consistency check.
     """
-    outcomes = _as_click_pattern(state, pattern).multiplicities
-    return herald(state, range(1, state.modes + 1), outcomes, order=order)[1]
+    draw = _Forced(dict(enumerate(_as_click_pattern(state, pattern).multiplicities, start=1)))
+    _chain(GaussianMixture.from_state(state), _measurement_order(range(1, state.modes + 1), order), draw)
+    return draw.probability

@@ -25,7 +25,15 @@ from gbsim import (
 )
 from gbsim.cv import paired_source_state
 from gbsim.gaussian import haar_unitary, random_state
-from gbsim.sampler import _sample_records, _substream_rng, mixture_apply_interferometer, sample_mixture
+from gbsim.sampler import (
+    _Forced,
+    _chain,
+    _measurement_order,
+    _sample_records,
+    _substream_rng,
+    mixture_apply_interferometer,
+    sample_mixture,
+)
 
 from conftest import tmsv
 
@@ -393,6 +401,113 @@ class TestHerald:
         # an extra bit must not be dropped, nor a 2 taken as a click or a -1 as a no-click
         with pytest.raises(ValueError, match="one outcome, 0 or 1"):
             herald(squeezed_state([0.5, 0.7, 0.9]), [1, 2], outcomes)
+
+
+def _loop_herald(source, measured, outcomes, order=None):
+    """The signed-mixture chain rule forced along the same path: the referee of the tree herald."""
+    mixture = source if isinstance(source, GaussianMixture) else GaussianMixture.from_state(source)
+    draw = _Forced(dict(zip(measured, outcomes)))
+    return _chain(mixture, _measurement_order(measured, order), draw)[0], draw.probability
+
+
+def _assert_same_branches(tree, loop):
+    # labels, history and branch order exactly; weights and covariances to roundoff of the cancelling signed sum
+    assert (tree.labels, tree.history, tree.branch_count) == (loop.labels, loop.history, loop.branch_count)
+    assert np.abs(tree.weights - loop.weights).max() <= 1e-9 * np.abs(loop.weights).max()
+    assert np.abs(tree.covs - loop.covs).max(initial=0.0) <= 1e-12
+    assert not tree.means.any()
+
+
+class TestHeraldTree:
+    # a zero-mean herald walks the forced path of the pivot tree; the signed-mixture chain rule referees it
+
+    @pytest.mark.parametrize("seed, pure, measured, outcomes, order", [
+        (1, True, [6, 4, 3, 1], [1, 0, 1, 1], None),
+        (2, False, [6, 4, 3, 1], [1, 0, 1, 1], None),
+        (3, True, [2, 5, 6], [1, 1, 0], [5, 2, 6]),
+        (4, False, [1, 2, 3, 4, 5], [0, 1, 1, 0, 1], [3, 1, 5, 2, 4]),
+        (5, True, [1, 3, 5, 6], [1, 1, 1, 1], None),
+        (6, False, [1, 3, 5, 6], [1, 1, 1, 1], [1, 6, 3, 5]),
+        (7, True, [2, 3, 4], [0, 0, 0], None),
+        (8, False, [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 0], None),
+        (9, False, [1, 2, 3, 4, 5, 6], [1, 0, 1, 1, 0, 1], [4, 1, 6, 2, 5, 3]),
+    ])
+    def test_state_matches_loop(self, seed, pure, measured, outcomes, order):
+        state = random_state(6, np.random.default_rng(seed), pure=pure)
+        tree, p = herald(state, measured, outcomes, order=order)
+        loop, q = _loop_herald(state, measured, outcomes, order)
+        _assert_same_branches(tree, loop)
+        assert p == pytest.approx(q, rel=1e-9)
+
+    @pytest.mark.parametrize("modes, heralds, seed, measured, outcomes, order", [
+        (5, 2, 1, [5, 3, 1], [1, 0, 1], None),
+        (5, 3, 2, [2, 4], [1, 1], [2, 4]),
+        (6, 3, 3, [1, 2, 3, 4], [0, 0, 0, 0], None),
+        (6, 2, 4, [6, 5, 4, 3, 2, 1], [1, 1, 0, 1, 0, 1], None),
+    ])
+    def test_heralded_mixture_heralded_again(self, modes, heralds, seed, measured, outcomes, order):
+        # the heralded mixture, after an interferometer, heralded again: its branches are the roots of the tree
+        mixture = _heralded_mixture(modes, heralds, seed)
+        tree, p = herald(mixture, measured, outcomes, order=order)
+        loop, q = _loop_herald(mixture, measured, outcomes, order)
+        _assert_same_branches(tree, loop)
+        assert p == pytest.approx(q, rel=1e-9)
+
+    def test_heralded_source_heralded_again(self):
+        # straight from the heralding, before any interferometer: signals 1-3 hold a photon each, so they click,
+        # and signal 4 is unpaired vacuum, so it stays silent
+        source, _ = herald(paired_source_state(4, 3, 0.9), [5, 6, 7], [1, 1, 1])
+        tree, p = herald(source, [3, 1, 4], [1, 1, 0])
+        loop, q = _loop_herald(source, [3, 1, 4], [1, 1, 0])
+        _assert_same_branches(tree, loop)
+        assert tree.branch_count == 32 and p == pytest.approx(1.0, rel=1e-12) and q == pytest.approx(1.0, rel=1e-12)
+
+    def test_displaced_source_runs_the_loop_bitwise(self):
+        state = random_state(6, np.random.default_rng(10))
+        displaced = QuadratureState(state.V, np.random.default_rng(11).normal(size=12) * 0.5)
+        for measured, outcomes, order in (([6, 4, 3, 1], [1, 0, 1, 1], None), ([2, 5], [1, 1], [5, 2])):
+            got, p = herald(displaced, measured, outcomes, order=order)
+            want, q = _loop_herald(displaced, measured, outcomes, order)
+            assert p == q and (got.labels, got.history) == (want.labels, want.history)
+            for a, b in ((got.weights, want.weights), (got.covs, want.covs), (got.means, want.means)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("measured, outcomes", [([3, 2, 1], [1, 0, 0]), ([3, 2, 1], [0, 1, 0]),
+                                                    ([3, 2, 1], [0, 0, 1])])
+    def test_vanishing_forced_outcome_raises_numerical_error(self, measured, outcomes):
+        # vacuum never clicks: the forced click has probability 0 wherever it falls on the path, and the walk
+        # refuses it before any later step divides by the vanished total
+        with pytest.raises(NumericalError, match="vanishing probability"):
+            herald(vacuum_state(3), measured, outcomes)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode 3 is not available"):
+            herald(vacuum_state(2), [3], [0])
+
+    def test_corrupted_branch_of_many_rejected(self):
+        mixture = _heralded_mixture(3, 2, 1)
+        covs = mixture.covs.copy()
+        covs[1] = -3 * np.eye(6)
+        corrupted = GaussianMixture(mixture.labels, mixture.weights, covs, mixture.means, mixture.history)
+        with pytest.raises(NumericalError, match="of branch 1 is not positive definite"):
+            herald(corrupted, [3], [0])
+
+    @pytest.mark.parametrize("clicks, seed", [(6, 1), (7, 2), (8, 3)])
+    def test_chain_rule_agrees_with_tree(self, clicks, seed):
+        # two algorithms for one pattern: the signed-mixture chain rule and the forced path of the pivot tree
+        rng = np.random.default_rng(seed)
+        state = random_state(10, rng, pure=bool(seed % 2))
+        bits = [0] * 10
+        for mode in rng.choice(10, clicks, replace=False):
+            bits[mode] = 1
+        pattern = ClickPattern(10, tuple(i + 1 for i, bit in enumerate(bits) if bit))
+        assert herald(state, range(1, 11), bits)[1] == pytest.approx(chain_rule_probability(state, pattern), rel=1e-9)
+
+    @pytest.mark.parametrize("pairs, r", [(1, 0.4), (2, 1.0), (3, 1.0), (3, -0.8)])
+    def test_paired_source_closed_form(self, pairs, r):
+        # every idler clicks iff its signal pair holds a photon pair: probability tanh(r)^(2 pairs)
+        _, p = herald(paired_source_state(5, pairs, r), list(range(6, 6 + pairs)), [1] * pairs)
+        assert p == pytest.approx(math.tanh(r) ** (2 * pairs), rel=1e-12)
 
 
 class TestMeasurementOrderEmpirical:
