@@ -85,8 +85,8 @@ def bench_torontonian(sizes, seed, repeats=REPEATS):
 def bench_sampler(click_counts, seed, repeats=REPEATS):
     """Time one forced-path ``chain_rule_probability`` with a growing number of clicks.
 
-    This is the signed-mixture chain rule, not the pivot tree of sampling
-    and zero-mean ``herald``. Clicks are forced on the lowest-index modes,
+    This is the signed-mixture chain rule, not the pivot tree of ``sample``,
+    ``step`` and ``herald``. Clicks are forced on the lowest-index modes,
     which are measured last, so the branch count doubles at the tail of the
     pass and the total work tracks 2^clicks.
     """

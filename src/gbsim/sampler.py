@@ -1,41 +1,32 @@
 """Exact threshold-detector sampling by mode-by-mode chain-rule conditioning.
 
 Each step's no-click probability is a ratio of two marginals of the
-already-drawn outcomes. The sampler and ``herald`` take one of two routes,
-decided by the source alone, a state or a signed mixture (``_sample_records``,
-``herald``):
+already-drawn outcomes. ``sample``, ``step`` and ``herald`` take one route
+for every source, a state or a signed mixture, displaced or not: they walk
+the Torontonian's pivot tree over ``Sigma = (V + 1) / 2`` (``_walk_tree``,
+one ``torontonian._pivot`` per level), one level per measured mode. The
+marginal with no-clicks S0 and clicks C is the inclusion-exclusion sum over
+Z in C of the vacuum overlaps of T = S0 + Z,
 
-* Zero-mean sources, of any size, walk the Torontonian's pivot tree over
-  ``Sigma = (V + 1) / 2`` (``_walk_tree``, one ``torontonian._pivot`` per
-  level), one level per measured mode. The marginal with no-clicks S0 and
-  clicks C is the inclusion-exclusion sum of the vacuum overlaps
-  ``det(Sigma_(S0 + Z))^(-1/2)`` over Z in C, the factors of the 2^|C| tree
-  nodes the sample sits on. Each level pivots only the nodes that some
-  sample of the batch is on, ``O(l^2)`` entries per node, shared by every
-  sample on it; no ``2^l`` table is built. A zero-mean mixture, such as a
-  heralded source, has the marginals ``sum_b w_b P_b``: its branches are
-  the roots of the walk, each with its weight as its factor. ``herald``
-  walks one forced path: its 2^clicks end nodes are the heralded branches.
-* Displaced sources run as a signed mixture of Gaussian states. Projecting
-  one mode onto vacuum is a Gaussian (Schur-complement) update; a click
-  splits every branch into the unconditioned marginal minus the
-  vacuum-conditioned branch, doubling the branch count, so a sample costs
-  ``O(l^2 2^clicks)``. Weights always sum to one but need not stay
-  positive.
+    v(T) = exp(-r_T^T Sigma_(T)^-1 r_T / 4) / sqrt(det(Sigma_(T))),
 
-Branches are stored as stacked arrays (weights, covariances, means). The
-one Gaussian-conditioning step, ``_condition``, updates each branch in
-turn, so the per-sample cost follows the branch count directly (one Schur
-complement per branch per mode); ``cv.backaction`` shares it. The one
-threshold step, ``_advance``, calls it; ``step`` and ``sample_mixture``
-draw its outcome by one coin rule (``_coin``); ``herald`` and
-``chain_rule_probability`` force it (``_Forced``). The tree walk draws by the
-same two rules; ``chain_rule_probability`` never walks it.
+the factors of the 2^|C| tree nodes the sample sits on; the mean rides in
+each node's block as a border row and column. Each level pivots only the nodes some
+sample of the batch is on, ``O(l^2)`` entries per node, shared by every
+sample on it; no ``2^l`` table is built. A mixture, such as a heralded
+source, has the marginals ``sum_b w_b P_b``: its branches are the roots of
+the walk, each with its weight as its factor. ``herald`` walks one forced
+path and ``step`` one level: their end nodes are the new mixture's branches
+(``_walk_mixture``), whose weights sum to one but need not stay positive.
 
-The per-mode no-click weight of a branch with block ``V_B`` and mean
-``r_B`` is the vacuum overlap, twice the heterodyne factor at outcome 0:
-
-    q = 2 exp(-r_B^T (V_B + 1)^{-1} r_B / 2) / sqrt(det(V_B + 1)).
+The referee is the signed-mixture loop, run only by
+``chain_rule_probability``: projecting one mode onto vacuum is a
+Schur-complement update of every branch (``_condition``, which
+``cv.backaction`` shares), and a click splits every branch into the
+unconditioned marginal minus the vacuum-conditioned branch (``_advance``,
+chained by ``_chain``). A branch with block ``V_B`` and mean ``r_B`` has the
+no-click weight ``q = 2 exp(-r_B^T (V_B + 1)^{-1} r_B / 2) / sqrt(det(V_B + 1))``.
+A draw is one coin rule (``_coin``) or a forced outcome (``_Forced``).
 """
 
 from __future__ import annotations
@@ -48,7 +39,6 @@ import numpy as np
 from .errors import NumericalError, PhysicalityError
 from .gaussian import (
     ClickPattern,
-    QuadratureState,
     _as_click_pattern,
     _checked_symplectic,
     _clamp_probability,
@@ -210,38 +200,40 @@ def _condition(covs, means, pos, W, y):
 
 def _coin(rng):
     """The draw rule: one uniform draw u per step, a click when u >= p (the no-click probability)."""
-    return lambda label, p: 1 if rng.random() >= p else 0
+    return lambda label, p, floor=None: 1 if rng.random() >= p else 0
 
 
 class _Forced:
     """The draw rule of a forced path: ``outcomes[label]`` whatever p; ``probability`` is the path's so far.
 
-    A step, or the path, whose probability falls below MIN_EVENT_PROB raises before any route divides by it.
+    A step, or the path, whose probability falls below MIN_EVENT_PROB raises before any route divides by it, as
+    does a step no larger than ``floor(bit)``, the roundoff of the sum its probability came from (the tree walk
+    passes it; a step that small is indistinguishable from an impossible one).
     """
 
     def __init__(self, outcomes):
         self.outcomes, self.probability = outcomes, 1.0
 
-    def __call__(self, label, p):
+    def __call__(self, label, p, floor=lambda bit: 0.0):
         bit = self.outcomes[label]
         step = (1.0 - p) if bit else p
         self.probability *= step
-        if min(step, self.probability) < MIN_EVENT_PROB:
+        if step <= floor(bit) or min(step, self.probability) < MIN_EVENT_PROB:
             raise NumericalError(f"forced {'click' if bit else 'no-click'} on mode {label} has vanishing probability")
         return bit
 
 
-def _advance(mixture, label, outcome):
+def _advance(mixture, label, draw):
     """Threshold-measure mode ``label``: (p, new mixture), p the mixture no-click probability.
 
-    ``outcome`` is a forced bit or a rule mapping (label, p) to a bit (``_coin``, ``_Forced``); the realized bit
-    is ``new.history[-1][1]``.
+    ``draw`` is a rule mapping (label, p) to a bit (``_coin``, ``_Forced``); the realized bit is
+    ``new.history[-1][1]``.
     """
     pos = _mode_position(mixture.labels, label)
     g, marg_cov, marg_mean, cond_cov, cond_mean = _condition(mixture.covs, mixture.means, pos, _VACUUM_W, 0.0)
     q = 2.0 * g
     p = _clamp_probability(float(mixture.weights @ q), f"no-click on mode {label}")
-    outcome = (outcome if callable(outcome) else _Forced({label: outcome}))(label, p)
+    outcome = draw(label, p)
     if outcome == 0:
         weights = mixture.weights * q / p
         covs, means = cond_cov, cond_mean
@@ -260,13 +252,14 @@ def _advance(mixture, label, outcome):
 def step(mixture, mode, rng):
     """Measure one mode of a mixture with a threshold detector.
 
-    The outcome is drawn by the coin rule of ``sample_mixture``: the
-    detector clicks when one uniform draw u >= p, the mixture no-click
-    probability. Returns (outcome bit, new mixture).
+    One level of the pivot tree (``_walk_tree``), its end nodes turned into
+    the new mixture's branches as in ``herald``. The outcome is drawn by the
+    coin rule of ``sample``: the detector clicks when one uniform draw
+    u >= p, the mixture no-click probability. Returns (outcome bit, new
+    mixture).
     """
-    if isinstance(mixture, QuadratureState):
-        mixture = GaussianMixture.from_state(mixture)
-    _, new = _advance(mixture, mode, _coin(rng))
+    mixture = mixture if isinstance(mixture, GaussianMixture) else GaussianMixture.from_state(mixture)
+    new = _walk_mixture(mixture, [mode], _coin(rng))
     return new.history[-1][1], new
 
 
@@ -276,9 +269,8 @@ class SampleRecord:
 
     ``noclick_probs`` holds each step's no-click probability in measurement
     order. ``branch_counts`` holds, after each step, 2^(clicks so far) times
-    the source's branch count (1 for a state): on the tree walk the number
-    of live tree nodes the sample sits on, on the mixture route the number
-    of Gaussian branches.
+    the source's branch count (1 for a state): the number of live tree nodes
+    the sample sits on, equal to the branch count of the signed mixture.
     """
 
     pattern: ClickPattern
@@ -313,38 +305,41 @@ def _chain(mixture, order, draw):
     return mixture, tuple(probs), tuple(counts)
 
 
-def sample_mixture(mixture, rng, order=None):
-    """Run the chain rule over all remaining modes of a mixture."""
-    return _chain(mixture, _measurement_order(mixture.labels, order), _coin(rng))
-
-
 def _walk_tree(source, order, draws):
     """Chain rule over the pivot tree of ``Sigma = (V + 1) / 2``: (one (clicked, probs, counts) per draw, M, factor).
 
     The tree pivots the modes in measurement order, one level per mode (``torontonian._pivot``). A node at depth d
-    stands for the set T of measured modes kept "in"; its factor is (-1)^(d - |T|) v(T), v(T) = det(Sigma_(T))^(-1/2)
-    the probability that every mode of T reads vacuum. A sample with no-clicks S0 and clicks C sits on the 2^|C|
-    nodes T = S0 + Z, Z in C, whose factors sum to (-1)^|C| P(S0, C). Their in-children sum to (-1)^|C| P(S0 + j, C),
-    so the no-click probability of mode j is the exact sum of the in-children over the sample's total. A no-click
-    keeps the in-children; a click keeps the out-children (T, sign flipped) too. Each level pivots only the nodes
-    some sample is on, once for all of them: a node's in-set fixes its path, so distinct nodes have distinct
-    children. Samples with the same outcomes so far share nodes, total and p, and walk as one group.
+    stands for the set T of measured modes kept "in"; its factor is (-1)^(d - |T|) v(T), with
+    v(T) = exp(-r_T^T Sigma_(T)^-1 r_T / 4) / sqrt(det(Sigma_(T))) the probability that every mode of T reads vacuum.
+    A sample with no-clicks S0 and clicks C sits on the 2^|C| nodes T = S0 + Z, Z in C, whose factors sum to
+    (-1)^|C| P(S0, C). Their in-children sum to (-1)^|C| P(S0 + j, C), so the no-click probability of mode j is the
+    exact sum of the in-children over the sample's total. A no-click keeps the in-children; a click keeps the
+    out-children (T, sign flipped) too. Each level pivots only the nodes some sample is on, once for all of them: a
+    node's in-set fixes its path, so distinct nodes have distinct children. Samples with the same outcomes so far
+    share nodes, total and p, and walk as one group.
 
-    ``source`` is a zero-mean state or a zero-mean mixture. A mixture's marginals are ``sum_b w_b P_b``, so its
-    branches are the roots, each with its weight as its factor, and every sample starts on all of them with the
-    total ``fsum(w)``; a state is the one root of factor 1. Modes outside ``order`` stay in the node blocks, after
-    the measured ones, as (x, p) pairs, in ``M``, the last level's blocks; ``factor`` holds their factors. Each of
-    ``draws`` is one sample's rule mapping (label, p) to its bit (``_coin``, or ``_Forced`` for a herald).
+    The mean is a border: one more row and column per block, ``r / 2`` in the block's (x, p) order with corner 0,
+    which the pivot turns into ``(r_A - L r_P) / 2`` and ``-r_T^T Sigma_(T)^-1 r_T / 4``; an in-child's factor
+    takes the exponential of its corner's change, exactly 1 at zero mean.
+
+    ``source`` is a state or a mixture. A mixture's marginals are ``sum_b w_b P_b``, so its branches are the roots,
+    each with its weight as its factor, and every sample starts on all of them with the total ``fsum(w)``; a state
+    is the one root of factor 1. Modes outside ``order`` stay in the node blocks, after the measured ones and
+    before the border, as (x, p) pairs, in ``M``, the last level's blocks; ``factor`` holds their factors. Each of
+    ``draws`` is one sample's rule mapping (label, p, floor) to its bit (``_coin``, or ``_Forced`` for a herald).
     """
     if isinstance(source, GaussianMixture):
-        source_labels, covs, factor = source.labels, source.covs, source.weights
+        source_labels, covs, means, factor = source.labels, source.covs, source.means, source.weights
     else:
-        source_labels, covs, factor = range(1, source.modes + 1), np.asarray(source.V)[None], np.ones(1)
+        source_labels, covs, means, factor = (range(1, source.modes + 1), np.asarray(source.V)[None],
+                                              np.asarray(source.r)[None], np.ones(1))
     modes = len(source_labels)
     rest = [label for label in source_labels if label not in order]
     pairs = (np.array([_mode_position(source_labels, label) for label in order + rest], dtype=int)[:, None]
              + [0, modes]).ravel()
-    M = ((covs + np.eye(2 * modes)) / 2)[:, pairs[:, None], pairs].transpose(1, 2, 0)  # nodes along the last axis
+    border = means[:, pairs, None] / 2
+    M = np.block([[((covs + np.eye(2 * modes)) / 2)[:, pairs[:, None], pairs], border],
+                  [border.transpose(0, 2, 1), np.zeros((len(factor), 1, 1))]]).transpose(1, 2, 0)  # nodes last
     levels = []  # (number of in-children, parents of the out-children) of each level pivoted so far
     # one group per outcome prefix: (nodes, exact sum of their factors, samples, (clicked, probs, counts) so far)
     groups = [(np.arange(len(factor)), math.fsum(factor.tolist()), range(len(draws)), ((), (), ()))]
@@ -364,17 +359,23 @@ def _walk_tree(source, order, draws):
 
     for label in order:
         schur, scaled = _pivot(M, factor, error)
+        scaled *= np.exp(schur[-1, -1] - M[-1, -1])
         silent, clicked = [], []
         for nodes, total, members, (labels, probs, counts) in groups:
-            num = math.fsum(scaled[nodes].tolist())
+            inner = scaled[nodes]
+            num = math.fsum(inner.tolist())
             p = _clamp_probability(num / total, f"no-click on mode {label}")
+
+            def floor(bit):  # 2^-53 sum|terms| / |total|, the terms the in-children and, for a click, the out-children
+                return 2.0 ** -53 * float(np.abs(inner).sum() + bit * np.abs(factor[nodes]).sum()) / abs(total)
+
             split = ([], [])
             for s in members:
-                split[draws[s](label, p)].append(s)
+                split[draws[s](label, p, floor)].append(s)
             if split[0]:
                 silent.append((nodes, num, split[0], (labels, probs + (p,), counts + (len(nodes),))))
             if split[1]:
-                grown = math.fsum(np.concatenate([scaled[nodes], -factor[nodes]]).tolist())
+                grown = math.fsum(np.concatenate([inner, -factor[nodes]]).tolist())
                 clicked.append((nodes, grown, split[1], (labels + (label,), probs + (p,), counts + (2 * len(nodes),))))
         needed = np.zeros(len(factor), dtype=bool)  # the nodes some clicking sample is on
         for nodes, _, _, _ in clicked:
@@ -384,7 +385,7 @@ def _walk_tree(source, order, draws):
         levels.append((len(factor), outs))
         groups = silent + [(np.concatenate([nodes, where[nodes]]), total, members, walk)
                            for nodes, total, members, walk in clicked]
-        M = np.concatenate([schur, M[2:, 2:, outs]], axis=-1)
+        M = np.concatenate([schur, M[2:, 2:] if len(outs) == len(factor) else M[2:, 2:, outs]], axis=-1)
         factor = np.concatenate([scaled, -factor[outs]])
     walks = [None] * len(draws)
     for _, _, members, walk in groups:
@@ -393,23 +394,30 @@ def _walk_tree(source, order, draws):
     return walks, M, factor
 
 
-def _sample_records(source, rngs, order, seed=None, substreams=None):
-    """One SampleRecord per rng, carrying ``seed`` and its substream; the source alone picks the route.
+def _walk_mixture(mixture, order, draw):
+    """One draw down the pivot tree of a mixture over ``order``: the mixture on the other modes.
 
-    ``source`` is a state or a mixture whose labels are 1..modes. Zero-mean sources walk the pivot tree
-    (``_walk_tree``), all rngs together; a source with a nonzero mean runs ``sample_mixture`` once per rng.
+    Every end node is a branch: covariance ``2 M - 1`` and mean twice its border, put back in xxpp label order,
+    weight its factor over the total, in ``_advance``'s order (the out-child before the in-child at each click,
+    one reversal of the walk's node index).
     """
-    plain = not isinstance(source, GaussianMixture)
-    labels = range(1, source.modes + 1) if plain else source.labels
-    order = _measurement_order(labels, order)
-    if np.any(source.r if plain else source.means):
-        mixture = GaussianMixture.from_state(source) if plain else source
-        walks = []
-        for rng in rngs:
-            final, probs, counts = sample_mixture(mixture, rng, order=order)
-            walks.append(([label for label, bit in final.history[len(mixture.history):] if bit], probs, counts))
-    else:
-        walks = _walk_tree(source, order, [_coin(rng) for rng in rngs])[0]
+    [(clicked, _, _)], M, factor = _walk_tree(mixture, order, [draw])
+    rest = tuple(label for label in mixture.labels if label not in order)
+    loop = np.arange(len(factor)).reshape(-1, mixture.branch_count)[::-1].ravel()
+    xxpp = np.arange(2 * len(rest)).reshape(-1, 2).T.ravel()
+    nodes = M[:, :, loop].transpose(2, 0, 1)
+    history = mixture.history + tuple((label, int(label in clicked)) for label in order)
+    return GaussianMixture(rest, factor[loop] / math.fsum(factor.tolist()),
+                           2 * nodes[:, xxpp[:, None], xxpp] - np.eye(2 * len(rest)), 2 * nodes[:, xxpp, -1], history)
+
+
+def _sample_records(source, rngs, order, seed=None, substreams=None):
+    """One SampleRecord per rng, carrying ``seed`` and its substream, from one walk of the pivot tree.
+
+    ``source`` is a state or a mixture whose labels are 1..modes; all rngs walk ``_walk_tree`` together.
+    """
+    labels = source.labels if isinstance(source, GaussianMixture) else range(1, source.modes + 1)
+    walks = _walk_tree(source, _measurement_order(labels, order), [_coin(rng) for rng in rngs])[0]
     substreams = substreams or [None] * len(rngs)
     return [SampleRecord(ClickPattern(len(labels), tuple(sorted(clicked))), probs, counts, seed, substream)
             for (clicked, probs, counts), substream in zip(walks, substreams)]
@@ -418,10 +426,9 @@ def _sample_records(source, rngs, order, seed=None, substreams=None):
 def sample(state, rng, order=None):
     """Draw one exact threshold sample from a Gaussian state.
 
-    Modes are measured from the highest index down by default. A zero-mean
-    state walks the pivot tree of its vacuum overlaps, O(l^2) entries per
-    live node per mode with 2^clicks live nodes; a displaced state runs the
-    signed mixture at O(l^2 2^clicks) Schur updates.
+    Modes are measured from the highest index down by default. The sample
+    walks the pivot tree of the state's vacuum overlaps, displaced or not,
+    O(l^2) entries per live node per mode with 2^clicks live nodes.
     """
     return _sample_records(state, [rng], order)[0]
 
@@ -432,9 +439,9 @@ def sample_batch(state, n, seed, order=None):
     Sample ``i`` uses the RNG substream ``substream_id(seed, i)``, so the
     batch content does not depend on execution order and any sub-range can
     be regenerated in isolation: record ``i`` equals ``sample(state,
-    _substream_rng(seed, i), order)``. On a zero-mean state the batch walks
-    the pivot tree in lockstep: each node is pivoted once for every sample
-    on it, and no 2^l table is built.
+    _substream_rng(seed, i), order)``. The batch walks the pivot tree in
+    lockstep: each node is pivoted once for every sample on it, and no 2^l
+    table is built.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -453,10 +460,12 @@ def herald(state, measured, outcomes, order=None):
     probability equals the threshold probability of the corresponding
     pattern of the marginal state on the measured modes.
 
-    A zero-mean source walks the forced path of the pivot tree (``_walk_tree``):
-    each end node, block ``M`` of the unmeasured modes, is a branch of covariance
-    ``2 M - 1`` and weight its factor over the total, in ``_advance``'s order. A
-    displaced source runs the signed mixture (``_chain``).
+    The source, displaced or not, walks the forced path of the pivot tree
+    (``_walk_mixture``): each end node, block ``M`` of the unmeasured modes
+    plus its mean border, is a branch of covariance ``2 M - 1``, mean twice
+    the border and weight its factor over the total, in ``_advance``'s order.
+    A forced step whose probability is lost in the roundoff of its sum raises
+    ``NumericalError``.
     """
     measured = [int(m) for m in measured]
     if len(set(measured)) != len(measured):
@@ -465,18 +474,8 @@ def herald(state, measured, outcomes, order=None):
     if len(outcomes) != len(measured) or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one outcome, 0 or 1, per measured mode")
     mixture = state if isinstance(state, GaussianMixture) else GaussianMixture.from_state(state)
-    order = _measurement_order(measured, order)
     draw = _Forced(dict(zip(measured, outcomes)))
-    if np.any(mixture.means):
-        return _chain(mixture, order, draw)[0], draw.probability
-    _, M, factor = _walk_tree(mixture, order, [draw])
-    rest = tuple(label for label in mixture.labels if label not in draw.outcomes)
-    loop = np.arange(len(factor)).reshape(-1, mixture.branch_count)[::-1].ravel()  # _advance's order: out-child first
-    xxpp = np.arange(2 * len(rest)).reshape(-1, 2).T.ravel()
-    covs = 2 * M[xxpp[:, None], xxpp][:, :, loop].transpose(2, 0, 1) - np.eye(2 * len(rest))
-    history = mixture.history + tuple((label, draw.outcomes[label]) for label in order)
-    return (GaussianMixture(rest, factor[loop] / math.fsum(factor.tolist()), covs, np.zeros(covs.shape[:2]), history),
-            draw.probability)
+    return _walk_mixture(mixture, _measurement_order(measured, order), draw), draw.probability
 
 
 def mixture_apply_interferometer(mixture, unitary):
@@ -495,8 +494,8 @@ def chain_rule_probability(state, pattern, order=None):
     """Probability of a full pattern by the signed-mixture chain rule (``_chain``), a product of forced-step factors.
 
     Each step conditions every Gaussian branch on its outcome, one Schur complement per branch, so this route
-    shares no arithmetic with the pivot trees of ``threshold_prob``, ``sample`` and zero-mean ``herald``;
-    it is their chain-rule consistency check.
+    shares no arithmetic with the pivot trees of ``threshold_prob``, ``sample``, ``step`` and ``herald``;
+    it is their independent referee, and the only caller of ``_chain`` and ``_advance``.
     """
     draw = _Forced(dict(enumerate(_as_click_pattern(state, pattern).multiplicities, start=1)))
     _chain(GaussianMixture.from_state(state), _measurement_order(range(1, state.modes + 1), order), draw)

@@ -11,7 +11,17 @@ import pytest
 from scipy import stats
 
 import gbsim
-from gbsim import FormatError, apply_interferometer, haar_unitary, squeezed_state, vacuum_state
+from gbsim import (
+    ClickPattern,
+    FormatError,
+    QuadratureState,
+    apply_interferometer,
+    chain_rule_probability,
+    haar_unitary,
+    reduce_state,
+    squeezed_state,
+    vacuum_state,
+)
 from gbsim import cli
 from gbsim.cli import main
 from gbsim.gaussian import random_state
@@ -291,6 +301,19 @@ class TestCliHerald:
         state_path = tmp_path / "vac.json"
         save_state(vacuum_state(1), state_path)
         assert run_cli("herald", state_path, "--click", "1") == 2
+
+    def test_displaced_state_matches_loop(self, tmp_path, capsys):
+        # a displaced state walks the pivot tree with its mean as a border; the signed-mixture chain rule on the
+        # marginal of modes 2, 3, 5 (clicks on 2 and 5, measured 5, 3, 2 on both routes) referees it
+        zero_mean = random_state(5, np.random.default_rng(4))
+        state = QuadratureState(zero_mean.V, 0.5 * np.random.default_rng(5).normal(size=10))
+        state_path = tmp_path / "displaced.json"
+        save_state(state, state_path)
+        assert run_cli("herald", state_path, "--click", "5,2", "--noclick", "3") == 0
+        out = json.loads(capsys.readouterr().out)
+        expect = chain_rule_probability(reduce_state(state, [2, 3, 5]), ClickPattern(3, (1, 3)))
+        assert out["herald_probability"] == pytest.approx(expect, rel=1e-9)
+        assert out["branches"] == 4 and out["remaining_modes"] == [1, 4]
 
 
 class TestCliCollision:

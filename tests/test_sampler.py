@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gbsim import (
     ClickPattern,
@@ -28,11 +30,11 @@ from gbsim.gaussian import haar_unitary, random_state
 from gbsim.sampler import (
     _Forced,
     _chain,
+    _coin,
     _measurement_order,
     _sample_records,
     _substream_rng,
     mixture_apply_interferometer,
-    sample_mixture,
 )
 
 from conftest import tmsv
@@ -112,17 +114,17 @@ class TestStep:
             step(mixture, 5, rng)
 
     def test_hand_loop_matches_sample_mixture(self, rng):
-        # one draw rule: stepping by hand replays sample_mixture bit for bit
+        # one draw rule: stepping by hand on the tree replays the signed-mixture loop's outcomes
         state = random_state(6, rng, max_squeezing=0.9)
         order = [2, 6, 1, 5, 3, 4]
         for seed in range(8):
-            final, _, _ = sample_mixture(GaussianMixture.from_state(state), np.random.default_rng(seed), order=order)
+            final, _, _ = _loop_sample(GaussianMixture.from_state(state), np.random.default_rng(seed), order=order)
             mixture = GaussianMixture.from_state(state)
             draws = np.random.default_rng(seed)
             for label in order:
                 _, mixture = step(mixture, label, draws)
             assert mixture.history == final.history
-            assert np.array_equal(mixture.weights, final.weights)
+            assert np.abs(mixture.weights - final.weights).max() <= 1e-9 * np.abs(final.weights).max()
 
 
 class TestMixtureInvariants:
@@ -134,14 +136,14 @@ class TestMixtureInvariants:
             from gbsim.sampler import _advance
 
             for label in (4, 3, 2, 1):
-                _, mixture = _advance(mixture, label, outcomes[label - 1])
+                _, mixture = _advance(mixture, label, _Forced({label: outcomes[label - 1]}))
                 assert abs(mixture.weights.sum() - 1.0) < 1e-9
 
     def test_branch_growth_is_exactly_two_per_click(self, rng):
         state = random_state(5, rng, max_squeezing=0.9)
         most_clicks = 0
         for seed in range(17, 57):
-            final, probs, counts = sample_mixture(GaussianMixture.from_state(state), np.random.default_rng(seed))
+            final, probs, counts = _loop_sample(GaussianMixture.from_state(state), np.random.default_rng(seed))
             for prob in probs:
                 assert 0.0 <= prob <= 1.0
             assert final.branch_count == counts[-1] == 2 ** len(final.clicked_labels)
@@ -254,14 +256,14 @@ class TestSample:
         state = random_state(modes, np.random.default_rng(100 + modes), pure=pure)
         for i in range(20):
             rec = sample(state, _substream_rng(61, i), order=order)
-            final, probs, counts = sample_mixture(GaussianMixture.from_state(state), _substream_rng(61, i), order)
+            final, probs, counts = _loop_sample(GaussianMixture.from_state(state), _substream_rng(61, i), order)
             assert rec.pattern.clicked == tuple(sorted(final.clicked_labels))
             assert rec.branch_counts == counts
             assert np.abs(np.subtract(rec.noclick_probs, probs)).max() <= 1e-8
 
-    def test_displaced_state_takes_mixture(self):
+    def test_displaced_state_closed_form(self):
         # a coherent product state: each mode's no-click probability is exp(-(x^2 + p^2) / 4) whatever the
-        # other modes read; the vacuum-overlap tree assumes zero mean and would read 1.0
+        # other modes read; the tree reads it from the mean border, which a zero-mean walk would miss (1.0)
         r = np.array([0.9, -1.4, 0.3, 0.5, 1.1, -0.7])
         closed = {j: math.exp(-(r[j - 1] ** 2 + r[j + 2] ** 2) / 4) for j in (1, 2, 3)}
         for rec in sample_batch(QuadratureState(np.eye(6), r), 30, seed=8):
@@ -272,7 +274,7 @@ def _batch_state(modes, rng, displaced):
     state = random_state(modes, rng)
     if not displaced:
         return state
-    # a nonzero mean: the mixture side of the route rule
+    # a nonzero mean: the border row and column of the walk carry it
     return QuadratureState(state.V, rng.normal(size=2 * modes), validate=False)
 
 
@@ -282,7 +284,7 @@ def _record_fields(rec):
 
 class TestSampleBatch:
     def test_single_sample_equals_batch_head(self, rng):
-        for displaced in (False, True):  # one state per route
+        for displaced in (False, True):  # with and without a mean border
             state = _batch_state(3, rng, displaced)
             one = sample(state, np.random.Generator(np.random.PCG64(substream_id(99, 0))))
             batch = sample_batch(state, 1, seed=99)
@@ -303,12 +305,18 @@ class TestSampleBatch:
         assert [r.pattern.clicked for r in a] == [r.pattern.clicked for r in b]
 
     def test_halves_merge_to_full_batch(self, rng):
-        for modes, n, displaced in ((2, 40, False), (4, 10, True)):  # one state per route
+        for modes, n, displaced in ((2, 40, False), (4, 10, True)):  # with and without a mean border
             state = _batch_state(modes, rng, displaced)
             full = sample_batch(state, n, seed=12)
             head = sample_batch(state, n // 2, seed=12)
             assert [_record_fields(r) for r in full[:n // 2]] == [_record_fields(r) for r in head]
             assert [r.substream for r in full[:n // 2]] == [r.substream for r in head]
+
+
+def _displaced(mixture):
+    """The mixture with every branch's mean moved by one fixed nonzero vector."""
+    return GaussianMixture(mixture.labels, mixture.weights, mixture.covs,
+                           mixture.means + np.linspace(-0.6, 0.8, 2 * mixture.modes), mixture.history)
 
 
 def _heralded_mixture(modes, heralds, seed):
@@ -328,7 +336,7 @@ class TestMixtureWalk:
         records = _sample_records(mixture, [_substream_rng(seed, i) for i in range(40)], order)
         assert max(rec.clicks for rec in records) >= 2
         for i, rec in enumerate(records):
-            final, probs, counts = sample_mixture(mixture, _substream_rng(seed, i), order)
+            final, probs, counts = _loop_sample(mixture, _substream_rng(seed, i), order)
             assert rec.pattern.clicked == tuple(sorted(set(final.clicked_labels) & set(mixture.labels)))
             assert rec.branch_counts == counts
             assert np.abs(np.subtract(rec.noclick_probs, probs)).max() <= 1e-9
@@ -342,21 +350,22 @@ class TestMixtureWalk:
             assert max(rec.clicks for rec in alone) >= 2
             assert [_record_fields(r) for r in rooted] == [_record_fields(r) for r in alone]
 
-    def test_displaced_mixture_takes_mixture_route(self):
+    def test_displaced_mixture_matches_loop(self):
         # a coherent product state as a one-branch mixture: each no-click probability is exp(-(x^2 + p^2) / 4),
-        # which the zero-mean tree walk would miss; a displaced heralded mixture replays sample_mixture exactly
+        # read from the mean border; a displaced heralded mixture walks like the signed-mixture loop
         r = np.array([0.9, -1.4, 0.3, 0.5, 1.1, -0.7])
         coherent = GaussianMixture.from_state(QuadratureState(np.eye(6), r))
         closed = [math.exp(-(r[j - 1] ** 2 + r[j + 2] ** 2) / 4) for j in (3, 2, 1)]
         for rec in _sample_records(coherent, [_substream_rng(8, i) for i in range(20)], None):
             assert np.allclose(rec.noclick_probs, closed, rtol=0, atol=1e-12)
-        heralded = _heralded_mixture(4, 2, 9)
-        displaced = GaussianMixture(heralded.labels, heralded.weights, heralded.covs,
-                                    heralded.means + np.linspace(-0.6, 0.8, 8), heralded.history)
-        for i, rec in enumerate(_sample_records(displaced, [_substream_rng(9, i) for i in range(20)], None)):
-            final, probs, counts = sample_mixture(displaced, _substream_rng(9, i))
-            assert (rec.pattern.clicked, rec.noclick_probs, rec.branch_counts) == (
-                tuple(sorted(set(final.clicked_labels) & {1, 2, 3, 4})), probs, counts)
+        displaced = _displaced(_heralded_mixture(4, 2, 9))
+        records = _sample_records(displaced, [_substream_rng(9, i) for i in range(40)], None)
+        assert max(rec.clicks for rec in records) >= 2
+        for i, rec in enumerate(records):
+            final, probs, counts = _loop_sample(displaced, _substream_rng(9, i))
+            assert rec.pattern.clicked == tuple(sorted(set(final.clicked_labels) & {1, 2, 3, 4}))
+            assert rec.branch_counts == counts
+            assert np.abs(np.subtract(rec.noclick_probs, probs)).max() <= 1e-9
 
 
 class TestHerald:
@@ -410,12 +419,19 @@ def _loop_herald(source, measured, outcomes, order=None):
     return _chain(mixture, _measurement_order(measured, order), draw)[0], draw.probability
 
 
+def _loop_sample(mixture, rng, order=None):
+    """The signed-mixture chain rule drawn by the coin rule over every mode: the referee of the tree sampler."""
+    return _chain(mixture, _measurement_order(mixture.labels, order), _coin(rng))
+
+
 def _assert_same_branches(tree, loop):
-    # labels, history and branch order exactly; weights and covariances to roundoff of the cancelling signed sum
+    # labels, history and branch order exactly; weights, covariances and means to roundoff of the cancelling signed
+    # sum; a zero-mean source keeps means of exactly 0
     assert (tree.labels, tree.history, tree.branch_count) == (loop.labels, loop.history, loop.branch_count)
     assert np.abs(tree.weights - loop.weights).max() <= 1e-9 * np.abs(loop.weights).max()
     assert np.abs(tree.covs - loop.covs).max(initial=0.0) <= 1e-12
-    assert not tree.means.any()
+    assert np.abs(tree.means - loop.means).max(initial=0.0) <= 1e-12
+    assert tree.means.any() == loop.means.any()
 
 
 class TestHeraldTree:
@@ -433,11 +449,14 @@ class TestHeraldTree:
         (9, False, [1, 2, 3, 4, 5, 6], [1, 0, 1, 1, 0, 1], [4, 1, 6, 2, 5, 3]),
     ])
     def test_state_matches_loop(self, seed, pure, measured, outcomes, order):
-        state = random_state(6, np.random.default_rng(seed), pure=pure)
-        tree, p = herald(state, measured, outcomes, order=order)
-        loop, q = _loop_herald(state, measured, outcomes, order)
-        _assert_same_branches(tree, loop)
-        assert p == pytest.approx(q, rel=1e-9)
+        # each case zero-mean and displaced: the mean rides the same walk as a border column
+        rng = np.random.default_rng(seed)
+        state = random_state(6, rng, pure=pure)
+        for source in (state, QuadratureState(state.V, 0.5 * rng.normal(size=12))):
+            tree, p = herald(source, measured, outcomes, order=order)
+            loop, q = _loop_herald(source, measured, outcomes, order)
+            _assert_same_branches(tree, loop)
+            assert p == pytest.approx(q, rel=1e-9)
 
     @pytest.mark.parametrize("modes, heralds, seed, measured, outcomes, order", [
         (5, 2, 1, [5, 3, 1], [1, 0, 1], None),
@@ -462,15 +481,15 @@ class TestHeraldTree:
         _assert_same_branches(tree, loop)
         assert tree.branch_count == 32 and p == pytest.approx(1.0, rel=1e-12) and q == pytest.approx(1.0, rel=1e-12)
 
-    def test_displaced_source_runs_the_loop_bitwise(self):
-        state = random_state(6, np.random.default_rng(10))
-        displaced = QuadratureState(state.V, np.random.default_rng(11).normal(size=12) * 0.5)
-        for measured, outcomes, order in (([6, 4, 3, 1], [1, 0, 1, 1], None), ([2, 5], [1, 1], [5, 2])):
-            got, p = herald(displaced, measured, outcomes, order=order)
-            want, q = _loop_herald(displaced, measured, outcomes, order)
-            assert p == q and (got.labels, got.history) == (want.labels, want.history)
-            for a, b in ((got.weights, want.weights), (got.covs, want.covs), (got.means, want.means)):
-                assert np.array_equal(a, b)
+    def test_displaced_mixture_heralded_again(self):
+        # a displaced heralded mixture: its branch means enter the roots' borders and come out conditioned
+        mixture = _displaced(_heralded_mixture(6, 2, 4))
+        for measured, outcomes, order in (([5, 3, 1], [1, 0, 1], None),
+                                          ([6, 5, 4, 3, 2, 1], [1, 1, 0, 1, 0, 1], [2, 6, 4, 1, 5, 3])):
+            tree, p = herald(mixture, measured, outcomes, order=order)
+            loop, q = _loop_herald(mixture, measured, outcomes, order)
+            _assert_same_branches(tree, loop)
+            assert p == pytest.approx(q, rel=1e-9)
 
     @pytest.mark.parametrize("measured, outcomes", [([3, 2, 1], [1, 0, 0]), ([3, 2, 1], [0, 1, 0]),
                                                     ([3, 2, 1], [0, 0, 1])])
@@ -479,6 +498,13 @@ class TestHeraldTree:
         # refuses it before any later step divides by the vanished total
         with pytest.raises(NumericalError, match="vanishing probability"):
             herald(vacuum_state(3), measured, outcomes)
+
+    def test_outcome_lost_in_roundoff_raises_numerical_error(self):
+        # signal 1 holds a photon once its idler has clicked, so its no-click is impossible; roundoff reads it as
+        # about 1e-16, far above MIN_EVENT_PROB, but no larger than the roundoff of the sum it came from
+        source, _ = herald(paired_source_state(4, 3, 0.9), [5, 6, 7], [1, 1, 1])
+        with pytest.raises(NumericalError, match="forced no-click on mode 1 has vanishing probability"):
+            herald(source, [3, 1, 4], [1, 0, 0])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode 3 is not available"):
@@ -494,14 +520,33 @@ class TestHeraldTree:
 
     @pytest.mark.parametrize("clicks, seed", [(6, 1), (7, 2), (8, 3)])
     def test_chain_rule_agrees_with_tree(self, clicks, seed):
-        # two algorithms for one pattern: the signed-mixture chain rule and the forced path of the pivot tree
+        # two algorithms for one pattern: the signed-mixture chain rule and the forced path of the pivot tree, on a
+        # zero-mean state and on it displaced
         rng = np.random.default_rng(seed)
         state = random_state(10, rng, pure=bool(seed % 2))
         bits = [0] * 10
         for mode in rng.choice(10, clicks, replace=False):
             bits[mode] = 1
         pattern = ClickPattern(10, tuple(i + 1 for i, bit in enumerate(bits) if bit))
-        assert herald(state, range(1, 11), bits)[1] == pytest.approx(chain_rule_probability(state, pattern), rel=1e-9)
+        for source in (state, QuadratureState(state.V, 0.5 * rng.normal(size=20))):
+            assert herald(source, range(1, 11), bits)[1] == pytest.approx(chain_rule_probability(source, pattern),
+                                                                          rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(modes=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_displaced_herald_matches_loop_property(self, modes, seed, data):
+        # any displaced state, forced pattern and measurement order: the tree and the loop herald alike
+        rng = np.random.default_rng(seed)
+        state = random_state(modes, rng, pure=bool(seed % 2))
+        source = QuadratureState(state.V, rng.normal(size=2 * modes))
+        measured = data.draw(st.lists(st.integers(1, modes), min_size=1, max_size=modes, unique=True))
+        outcomes = data.draw(st.lists(st.integers(0, 1), min_size=len(measured), max_size=len(measured)))
+        order = data.draw(st.permutations(measured))
+        loop, q = _loop_herald(source, measured, outcomes, order)
+        assume(q > 1e-6)
+        tree, p = herald(source, measured, outcomes, order=order)
+        _assert_same_branches(tree, loop)
+        assert p == pytest.approx(q, rel=1e-9)
 
     @pytest.mark.parametrize("pairs, r", [(1, 0.4), (2, 1.0), (3, 1.0), (3, -0.8)])
     def test_paired_source_closed_form(self, pairs, r):
@@ -522,7 +567,7 @@ class TestMeasurementOrderEmpirical:
             counts = {}
             for i in range(n):
                 g = np.random.Generator(np.random.PCG64(substream_id(7, i)))
-                final, _, _ = sample_mixture(GaussianMixture.from_state(state), g, order=order)
+                final, _, _ = _loop_sample(GaussianMixture.from_state(state), g, order=order)
                 key = tuple(sorted(final.clicked_labels))
                 counts[key] = counts.get(key, 0) + 1
             emp = {k: v / n for k, v in counts.items()}
