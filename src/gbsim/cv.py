@@ -20,8 +20,9 @@ evaluation shrinks (a step that leaves the bracket falls back to its midpoint).
 shot keeps its own mixture, density and backaction, and one x and one p
 inversion per mode serve every shot. A row of the inversion stops once it has
 converged, so a shot's outcomes are those of a run by itself.
-Backaction is the sampler's one conditioning step (``sampler._condition``),
-of which a threshold no-click is the special case W = 1 at outcome 0.
+Backaction is one pivot (``torontonian._pivot``) of the threshold walk's
+bordered node blocks (``sampler._node_blocks``), with the pivot block shifted
+by W and the border by the outcome.
 
 The probe set is built in NumPy, and the one scipy function this module
 uses, ``scipy.special.ndtr``, is imported inside ``_invert_mixture_cdf``:
@@ -42,9 +43,9 @@ from .gaussian import QuadratureState, apply_interferometer, haar_unitary, squee
 from .sampler import (
     MIN_EVENT_PROB,
     GaussianMixture,
-    _condition,
     _measurement_order,
     _mode_position,
+    _node_blocks,
     _positive_definite_dets,
     _sample_records,
     _set_mixture_arrays,
@@ -52,6 +53,7 @@ from .sampler import (
     herald,
     mixture_apply_interferometer,
 )
+from .torontonian import _pivot
 
 NEGATIVITY_PROBES = 10_000
 NEGATIVITY_TOL = -1e-9
@@ -298,11 +300,11 @@ def sample_outcomes(density, n, rng, tol=CDF_TOL):
 def backaction(mixture, mode, povm, outcome):
     """Propagate a Gaussian measurement outcome into the remaining modes.
 
-    The sampler's conditioning step, ``sampler._condition``, with the POVM's
-    W and this outcome: per branch the covariance gets the Schur complement
-    against V_B + W, the mean moves by the regression gain times
-    (outcome - r_B), and the weights are reweighted by the branch outcome
-    densities g / 2pi.
+    One pivot (``torontonian._pivot``) of the walk's bordered node blocks of V and r (``sampler._node_blocks``,
+    the measured mode first), with the pivot block shifted to V_B + W and the mode's border to r_B - outcome. Per
+    branch the Schur complement and the border are the conditioned covariance and mean, and the corner,
+    -d^T (V_B + W)^-1 d with d = outcome - r_B, gives the outcome density g_B / 2 pi with
+    g_B = exp(corner / 2) / sqrt(det(V_B + W)). The new weights are w_B g_B over their exact sum.
     """
     if isinstance(mixture, QuadratureState):
         mixture = GaussianMixture.from_state(mixture)
@@ -310,19 +312,18 @@ def backaction(mixture, mode, povm, outcome):
     if not np.all(np.isfinite(outcome)):
         raise ValueError("outcome must be finite")
     pos = _mode_position(mixture.labels, mode)
-    g, _, _, covs, means = _condition(mixture.covs, mixture.means, pos, povm.W, outcome)
-    density = g / (2 * math.pi)
-    p = float(mixture.weights @ density)
-    if p < MIN_EVENT_PROB:
+    M = _node_blocks(mixture.covs, mixture.means, [pos])
+    M[:2, :2] += povm.W[:, :, None]
+    M[:2, -1] = M[-1, :2] = M[:2, -1] - outcome[:, None]
+    schur, scaled = _pivot(M, mixture.weights,
+                           lambda node: NumericalError("V_B + W is not positive definite; the mixture is corrupted"))
+    scaled *= np.exp(schur[-1, -1] / 2)
+    total = math.fsum(scaled.tolist())
+    if not total > 2 * math.pi * MIN_EVENT_PROB:
         raise NumericalError("measurement outcome has vanishing density")
-    new_weights = mixture.weights * density / p
-    return GaussianMixture(
-        labels=mixture.labels[:pos] + mixture.labels[pos + 1:],
-        weights=new_weights / new_weights.sum(),
-        covs=covs,
-        means=means,
-        history=mixture.history,
-    )
+    nodes = schur.transpose(2, 0, 1)
+    return GaussianMixture(mixture.labels[:pos] + mixture.labels[pos + 1:], scaled / total, nodes[:, :-1, :-1],
+                           nodes[:, :-1, -1], mixture.history)
 
 
 def measure_all_cv(mixture, povm, rngs, tol=CDF_TOL):

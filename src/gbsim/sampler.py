@@ -18,14 +18,14 @@ source, has the marginals ``sum_b w_b P_b``: its branches are the roots of
 the walk, each with its weight as its factor. ``herald`` walks one forced
 path and ``step`` one level: their end nodes are the new mixture's branches
 (``_walk_mixture``), whose weights sum to one but need not stay positive.
+``cv.backaction`` pivots the same bordered node blocks (``_node_blocks``).
 
 The referee is the signed-mixture loop, run only by
 ``chain_rule_probability``: projecting one mode onto vacuum is a
-Schur-complement update of every branch (``_condition``, which
-``cv.backaction`` shares), and a click splits every branch into the
-unconditioned marginal minus the vacuum-conditioned branch (``_advance``,
-chained by ``_chain``). A branch with block ``V_B`` and mean ``r_B`` has the
-no-click weight ``q = 2 exp(-r_B^T (V_B + 1)^{-1} r_B / 2) / sqrt(det(V_B + 1))``.
+Schur-complement update of every branch (``_condition``), and a click
+splits every branch into the unconditioned marginal minus the
+vacuum-conditioned branch (``_advance``, chained by ``_chain``). A branch
+with block ``V_B`` and mean ``r_B`` has the no-click weight ``q = 2 exp(-r_B^T (V_B + 1)^{-1} r_B / 2) / sqrt(det(V_B + 1))``.
 A draw is one coin rule (``_coin``) or a forced outcome (``_Forced``).
 """
 
@@ -49,7 +49,6 @@ from .torontonian import _pivot
 WEIGHT_TOL = 1e-9
 MIXTURE_PHYSICALITY_TOL = 1e-8  # GaussianMixture.validate: min eig(V + i Omega) floor
 MIN_EVENT_PROB = 1e-300
-_VACUUM_W = np.eye(2)  # vacuum projection is a heterodyne at outcome 0
 
 _MASK64 = (1 << 64) - 1
 
@@ -159,31 +158,23 @@ def _mode_position(labels, label):
         raise ValueError(f"mode {label} is not available (remaining: {tuple(labels)})") from None
 
 
-def _condition(covs, means, pos, W, y):
-    """Condition every branch on a Gaussian measurement of the mode at ``pos``.
+def _condition(covs, means, pos):
+    """Project the mode at ``pos`` of every branch onto vacuum: the referee's Schur-complement step.
 
-    The one Schur-complement step: vacuum projection is the heterodyne
-    (``W = 1``) at outcome ``y = 0``. For each branch of the stacks ``covs``
-    and ``means`` it returns the Gaussian factor
-
-        g = exp(-d^T (V_B + W)^{-1} d / 2) / sqrt(det(V_B + W)),  d = y - r_B,
-
-    plus the marginal (``V_A``, ``r_A``) and the conditioned covariance and
-    mean of the other modes, as ``(g, marg_cov, marg_mean, cond_cov,
-    cond_mean)``. The blocks are gathered and every ``V_B + W`` checked by
-    ``_positive_definite_dets`` for the whole stack at once; the 2x2 inverse,
-    g and the update then run branch by branch in a plain loop, which keeps
-    the per-sample cost proportional to the branch count (the 2^clicks law)
-    and the summation order fixed.
+    Returns ``(g, marg_cov, marg_mean, cond_cov, cond_mean)``: per branch of the stacks ``covs`` and ``means`` the
+    factor ``g = exp(-r_B^T (V_B + 1)^{-1} r_B / 2) / sqrt(det(V_B + 1))``, the marginal (``V_A``, ``r_A``) and the
+    conditioned covariance and mean of the other modes. Every ``V_B + 1`` is checked by ``_positive_definite_dets``
+    at once; the 2x2 inverse, g and the update then run branch by branch in a plain loop, which keeps the
+    per-sample cost proportional to the branch count (the 2^clicks law) and the summation order fixed.
     """
     m = covs.shape[-1] // 2
     bidx = np.array([pos, pos + m])
     aidx = np.array([i for i in range(2 * m) if i != pos and i != pos + m], dtype=int)
-    VB = covs[:, bidx[:, None], bidx] + W
+    VB = covs[:, bidx[:, None], bidx] + np.eye(2)
     VA = covs[:, aidx[:, None], aidx]
     VAB = covs[:, aidx[:, None], bidx]
     rA = means[:, aidx]
-    diff = y - means[:, bidx]
+    diff = -means[:, bidx]
     dets = _positive_definite_dets(VB)
     g = np.empty(len(covs))
     cond_cov = np.empty_like(VA)
@@ -230,7 +221,7 @@ def _advance(mixture, label, draw):
     ``new.history[-1][1]``.
     """
     pos = _mode_position(mixture.labels, label)
-    g, marg_cov, marg_mean, cond_cov, cond_mean = _condition(mixture.covs, mixture.means, pos, _VACUUM_W, 0.0)
+    g, marg_cov, marg_mean, cond_cov, cond_mean = _condition(mixture.covs, mixture.means, pos)
     q = 2.0 * g
     p = _clamp_probability(float(mixture.weights @ q), f"no-click on mode {label}")
     outcome = draw(label, p)
@@ -258,7 +249,6 @@ def step(mixture, mode, rng):
     u >= p, the mixture no-click probability. Returns (outcome bit, new
     mixture).
     """
-    mixture = mixture if isinstance(mixture, GaussianMixture) else GaussianMixture.from_state(mixture)
     new = _walk_mixture(mixture, [mode], _coin(rng))
     return new.history[-1][1], new
 
@@ -305,6 +295,20 @@ def _chain(mixture, order, draw):
     return mixture, tuple(probs), tuple(counts)
 
 
+def _node_blocks(covs, means, measured):
+    """The bordered blocks of a stack of branches, one node per branch along the last axis: (2m + 1, 2m + 1, B).
+
+    The modes at the positions ``measured`` come first, in that order, as (x, p) pairs; the other modes follow in
+    xxpp order, then the border: ``means`` in the same order, with corner 0.
+    """
+    modes = covs.shape[-1] // 2
+    rest = np.array([pos for pos in range(modes) if pos not in measured], dtype=int)
+    idx = np.concatenate([(np.array(measured, dtype=int)[:, None] + [0, modes]).ravel(), rest, rest + modes])
+    border = means[:, idx, None]
+    return np.block([[covs[:, idx[:, None], idx], border],
+                     [border.transpose(0, 2, 1), np.zeros((len(covs), 1, 1))]]).transpose(1, 2, 0)
+
+
 def _walk_tree(source, order, draws):
     """Chain rule over the pivot tree of ``Sigma = (V + 1) / 2``: (one (clicked, probs, counts) per draw, M, factor).
 
@@ -318,28 +322,20 @@ def _walk_tree(source, order, draws):
     node's in-set fixes its path, so distinct nodes have distinct children. Samples with the same outcomes so far
     share nodes, total and p, and walk as one group.
 
-    The mean is a border: one more row and column per block, ``r / 2`` in the block's (x, p) order with corner 0,
+    The blocks are ``_node_blocks`` of ``Sigma`` and ``r / 2``: the mean is a border row and column with corner 0,
     which the pivot turns into ``(r_A - L r_P) / 2`` and ``-r_T^T Sigma_(T)^-1 r_T / 4``; an in-child's factor
     takes the exponential of its corner's change, exactly 1 at zero mean.
 
     ``source`` is a state or a mixture. A mixture's marginals are ``sum_b w_b P_b``, so its branches are the roots,
     each with its weight as its factor, and every sample starts on all of them with the total ``fsum(w)``; a state
     is the one root of factor 1. Modes outside ``order`` stay in the node blocks, after the measured ones and
-    before the border, as (x, p) pairs, in ``M``, the last level's blocks; ``factor`` holds their factors. Each of
+    before the border, in xxpp order, in ``M``, the last level's blocks; ``factor`` holds their factors. Each of
     ``draws`` is one sample's rule mapping (label, p, floor) to its bit (``_coin``, or ``_Forced`` for a herald).
     """
-    if isinstance(source, GaussianMixture):
-        source_labels, covs, means, factor = source.labels, source.covs, source.means, source.weights
-    else:
-        source_labels, covs, means, factor = (range(1, source.modes + 1), np.asarray(source.V)[None],
-                                              np.asarray(source.r)[None], np.ones(1))
-    modes = len(source_labels)
-    rest = [label for label in source_labels if label not in order]
-    pairs = (np.array([_mode_position(source_labels, label) for label in order + rest], dtype=int)[:, None]
-             + [0, modes]).ravel()
-    border = means[:, pairs, None] / 2
-    M = np.block([[((covs + np.eye(2 * modes)) / 2)[:, pairs[:, None], pairs], border],
-                  [border.transpose(0, 2, 1), np.zeros((len(factor), 1, 1))]]).transpose(1, 2, 0)  # nodes last
+    mixture = source if isinstance(source, GaussianMixture) else GaussianMixture.from_state(source)
+    M = _node_blocks((mixture.covs + np.eye(2 * mixture.modes)) / 2, mixture.means / 2,
+                     [_mode_position(mixture.labels, label) for label in order])
+    factor = mixture.weights
     levels = []  # (number of in-children, parents of the out-children) of each level pivoted so far
     # one group per outcome prefix: (nodes, exact sum of their factors, samples, (clicked, probs, counts) so far)
     groups = [(np.arange(len(factor)), math.fsum(factor.tolist()), range(len(draws)), ((), (), ()))]
@@ -351,7 +347,7 @@ def _walk_tree(source, order, draws):
                 kept.append(done)
             else:
                 node = outs[node - width]
-        branch = f" of branch {node}" if len(covs) > 1 else ""
+        branch = f" of branch {node}" if mixture.branch_count > 1 else ""
         fault, what = ((NumericalError, "mixture is corrupted") if isinstance(source, GaussianMixture)
                        else (PhysicalityError, "state is not physical"))
         return fault(f"Sigma_(T) = (V_(T) + 1) / 2{branch} is not positive definite for modes "
@@ -394,21 +390,20 @@ def _walk_tree(source, order, draws):
     return walks, M, factor
 
 
-def _walk_mixture(mixture, order, draw):
-    """One draw down the pivot tree of a mixture over ``order``: the mixture on the other modes.
+def _walk_mixture(source, order, draw):
+    """One draw down the pivot tree of a state or mixture over ``order``: the mixture on the other modes.
 
-    Every end node is a branch: covariance ``2 M - 1`` and mean twice its border, put back in xxpp label order,
-    weight its factor over the total, in ``_advance``'s order (the out-child before the in-child at each click,
-    one reversal of the walk's node index).
+    Every end node is a branch: covariance ``2 M - 1`` and mean twice its border, weight its factor over the total,
+    in ``_advance``'s order (the out-child before the in-child at each click, one reversal of the walk's node index).
     """
-    [(clicked, _, _)], M, factor = _walk_tree(mixture, order, [draw])
+    [(clicked, _, _)], M, factor = _walk_tree(source, order, [draw])
+    mixture = source if isinstance(source, GaussianMixture) else GaussianMixture.from_state(source)
     rest = tuple(label for label in mixture.labels if label not in order)
     loop = np.arange(len(factor)).reshape(-1, mixture.branch_count)[::-1].ravel()
-    xxpp = np.arange(2 * len(rest)).reshape(-1, 2).T.ravel()
-    nodes = M[:, :, loop].transpose(2, 0, 1)
+    nodes = M[:, :, loop].transpose(2, 0, 1)  # the gather puts the branch axis first: contiguous
     history = mixture.history + tuple((label, int(label in clicked)) for label in order)
     return GaussianMixture(rest, factor[loop] / math.fsum(factor.tolist()),
-                           2 * nodes[:, xxpp[:, None], xxpp] - np.eye(2 * len(rest)), 2 * nodes[:, xxpp, -1], history)
+                           2 * nodes[:, :-1, :-1] - np.eye(2 * len(rest)), 2 * nodes[:, :-1, -1], history)
 
 
 def _sample_records(source, rngs, order, seed=None, substreams=None):
@@ -473,9 +468,8 @@ def herald(state, measured, outcomes, order=None):
     outcomes = [int(b) for b in outcomes]
     if len(outcomes) != len(measured) or any(b not in (0, 1) for b in outcomes):
         raise ValueError("need one outcome, 0 or 1, per measured mode")
-    mixture = state if isinstance(state, GaussianMixture) else GaussianMixture.from_state(state)
     draw = _Forced(dict(zip(measured, outcomes)))
-    return _walk_mixture(mixture, _measurement_order(measured, order), draw), draw.probability
+    return _walk_mixture(state, _measurement_order(measured, order), draw), draw.probability
 
 
 def mixture_apply_interferometer(mixture, unitary):

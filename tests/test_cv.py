@@ -428,10 +428,48 @@ class TestBackaction:
         l1 = np.trapezoid(np.abs(recovered - target), xs)
         assert l1 < 1e-6
 
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_dense_schur_complement(self, case):
+        # random displaced heralded mixtures, 2-4 signal modes and 2-4 branches, against one np.linalg.solve per branch
+        rng = np.random.default_rng(100 + case)
+        modes, heralds = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        base = random_state(modes + heralds, rng, pure=bool(case % 2))
+        state = QuadratureState(base.V, rng.normal(0.0, 0.7, 2 * (modes + heralds)))
+        mixture, _ = herald(state, list(range(modes + 1, modes + heralds + 1)), [1] * heralds)
+        if case % 5 == 4:  # three branches: drop one and renormalise
+            mixture = GaussianMixture(mixture.labels, mixture.weights[:3] / mixture.weights[:3].sum(),
+                                      mixture.covs[:3], mixture.means[:3], mixture.history)
+        A = rng.normal(size=(2, 2))
+        povm = (heterodyne(), homodyne(1e3), GaussianPOVM(A @ A.T + 0.1 * np.eye(2)))[case % 3]
+        mode, outcome = int(rng.integers(1, modes + 1)), rng.normal(0.0, 1.5, 2)
+        pos = mode - 1
+        b = np.array([pos, pos + modes])
+        a = np.array([i for i in range(2 * modes) if i not in b])
+        weights, covs, means = [], [], []
+        for w, V, r in zip(mixture.weights, mixture.covs, mixture.means):
+            pivot, cross, d = V[np.ix_(b, b)] + povm.W, V[np.ix_(a, b)], outcome - r[b]
+            weights.append(w * math.exp(-0.5 * d @ np.linalg.solve(pivot, d)) / math.sqrt(np.linalg.det(pivot)))
+            covs.append(V[np.ix_(a, a)] - cross @ np.linalg.solve(pivot, cross.T))
+            means.append(r[a] + cross @ np.linalg.solve(pivot, d))
+        after = backaction(mixture, mode, povm, outcome)
+        assert after.labels == tuple(label for label in mixture.labels if label != mode)
+        # signed weights cancel: their normaliser's relative roundoff grows with sum |w|, each weight's with max |w|
+        spread = np.abs(after.weights).max() * np.abs(after.weights).sum()
+        np.testing.assert_allclose(after.weights, np.array(weights) / math.fsum(weights), rtol=0,
+                                   atol=1e-12 + 1e-15 * spread)
+        np.testing.assert_allclose(after.covs, covs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(after.means, means, rtol=0, atol=1e-12)
+
     def test_impossible_outcome_rejected(self):
         mixture = GaussianMixture.from_state(vacuum_state(2))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="vanishing density"):
             backaction(mixture, 1, heterodyne(), np.array([500.0, 0.0]))
+
+    def test_indefinite_branch_rejected(self):
+        # V_B + W = -2 I has det 4 > 0: the pivot's leading-entry test rejects it
+        mixture = GaussianMixture(labels=(1, 2), weights=[1.0], covs=[-3 * np.eye(4)], means=[np.zeros(4)])
+        with pytest.raises(NumericalError, match="V_B \\+ W is not positive definite"):
+            backaction(mixture, 2, heterodyne(), np.zeros(2))
 
 
 class TestHomodyneConvergence:

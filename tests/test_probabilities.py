@@ -80,6 +80,12 @@ class TestOracle:
             b = threshold_prob_oracle(state, clicked)
             assert abs(a - b) < 1e-10
 
+    def test_twelve_clicks_exactly_summed(self):
+        # 4096 signed overlaps: an fsum keeps the oracle within 2e-8 of the Torontonian (a running += drifts to 5e-8)
+        state = apply_interferometer(squeezed_state([0.6] * 16), haar_unitary(16, np.random.default_rng(3)))
+        clicked = tuple(range(1, 13))
+        assert threshold_prob_oracle(state, clicked) == pytest.approx(threshold_prob(state, clicked), rel=2e-8, abs=0)
+
 
 class TestPnrProb:
     def test_vacuum_all_zero(self):
@@ -197,6 +203,15 @@ class TestTorAsHafnianSum:
     def test_cutoff_below_clicks_rejected(self, rng):
         with pytest.raises(ValueError):
             tor_as_hafnian_sum(random_state(3, rng), (1, 2), photon_cutoff=1)
+
+    def test_six_clicks_converge_within_residual(self):
+        state = random_state(6, np.random.default_rng(4), max_squeezing=0.4)
+        _, kernel, _ = state_kernel(state)
+        result = tor_as_hafnian_sum(state, tuple(range(1, 7)), photon_cutoff=24)
+        sums = [s for _, s in result.partial_sums]
+        assert all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
+        target = torontonian(kernel).value
+        assert abs(result.value - target) <= result.residual_bound
 
     def test_mixed_state_converges_within_residual(self):
         state = random_state(3, np.random.default_rng(9), pure=False)

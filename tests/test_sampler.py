@@ -194,6 +194,17 @@ class TestMixtureInvariants:
         with pytest.raises(PhysicalityError, match=r"Sigma_\(T\) = .* not positive definite for modes T = \[2\]"):
             sample(QuadratureState(np.diag([1.0, -3.0, 1.0, 1.0]), validate=False), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("route", [
+        lambda state: sample(state, np.random.default_rng(0)),
+        lambda state: herald(state, [2], [0]),
+        lambda state: step(state, 2, np.random.default_rng(0)),
+    ], ids=["sample", "herald", "step"])
+    def test_unphysical_state_blames_the_state(self, route):
+        # a state is walked as given, so the fault names the state, not a mixture the caller never built
+        bad = QuadratureState(np.diag([1.0, -3.0, 1.0, 1.0]), validate=False)
+        with pytest.raises(PhysicalityError, match="the state is not physical"):
+            route(bad)
+
 
 class TestChainRule:
     def test_matches_enumeration_every_pattern(self, rng):
