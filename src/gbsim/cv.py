@@ -13,9 +13,12 @@ axis by its own largest branch variance, so a homodyne density's x range
 does not take the width of its p range. The pdf adds up branches in place.
 
 Sampling inverts the exact 1D marginal CDF and then the conditional CDF,
-both closed-form error-function mixtures (one ``np.vecdot`` per sum), by
-Newton steps on the closed-form mixture pdf inside a bracket that every CDF
-evaluation shrinks (a step that leaves the bracket falls back to its midpoint).
+both closed-form error-function mixtures (one ``np.vecdot`` per sum, the
+normal CDF ``_normal_cdf`` on ``math.erfc``), by Newton steps on the
+closed-form mixture pdf inside a bracket that every CDF evaluation shrinks.
+A solve starts from the moment-matched normal's approximate quantile (the
+bracket midpoint where that guess is not inside the bracket), and a step
+that leaves the bracket falls back to its midpoint.
 ``measure_all_cv`` runs a pipeline's shots in lockstep, mode by mode: each
 shot keeps its own mixture, density and backaction, and one x and one p
 inversion per mode serve every shot. A row of the inversion stops once it has
@@ -24,10 +27,8 @@ Backaction is one pivot (``torontonian._pivot``) of the threshold walk's
 bordered node blocks (``sampler._node_blocks``), with the pivot block shifted
 by W and the border by the outcome.
 
-The probe set is built in NumPy, and the one scipy function this module
-uses, ``scipy.special.ndtr``, is imported inside ``_invert_mixture_cdf``:
-importing this module, and through it ``gbsim.cli``, loads no module of
-scipy, and of scipy a ``cv`` run loads ``scipy.special`` alone.
+The probe set and the normal CDF are built in NumPy and ``math``: neither
+importing this module nor a ``cv`` run loads any module of scipy.
 """
 
 from __future__ import annotations
@@ -207,11 +208,25 @@ def outcome_density(mixture, povm):
     )
 
 
+def _normal_cdf(z):
+    """Standard normal CDF of an array, elementwise ``0.5 erfc(-z / sqrt 2)`` by ``math.erfc``.
+
+    Within 2.2e-16 absolute of ``scipy.special.ndtr``. One Python call per element: about 6 us on a solve's
+    (shots, branches) arrays against scipy's 0.9 us, which keeps scipy out of a ``cv`` run.
+    """
+    z = z / -math.sqrt(2)
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
 def _invert_mixture_cdf(u, weights, means, sigmas, tol):
     """Vectorized safeguarded Newton solve of signed-normal-mixture CDFs.
 
     The CDF is monotone (the mixture is a true density); every target u is
-    bracketed by mean +- 12 sigma, widened for extreme quantiles. Each
+    bracketed by mean +- 12 sigma, widened for extreme quantiles. A row starts
+    from the moment-matched normal's quantile ``mu + sd q(u)``, with the
+    Tukey-lambda approximation ``q(u) = 4.91 (u^0.14 - (1 - u)^0.14)``, or from
+    the bracket midpoint where that guess is not strictly inside the bracket
+    (or is NaN, from a variance that cancels below zero in rounding). Each
     iteration shrinks the bracket by the sign of the CDF mismatch, then takes
     a Newton step on the closed-form pdf ``sum_k w_k phi(z_k) / sigma_k``,
     falling back to the bracket midpoint where the step is not strictly inside
@@ -222,16 +237,13 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
     whatever else is in the batch. Branch sums are ``np.vecdot`` over the
     last axis, so ``weights``, ``means`` and ``sigmas`` may be (B,), shared
     by every row, or (n, B), one row per target.
-    ``scipy.special`` is imported here, not at module load.
     """
-    from scipy.special import ndtr
-
     u = np.asarray(u, dtype=float)
     lo = np.full(u.shape, (means - 12 * sigmas).min(axis=-1))
     hi = np.full(u.shape, (means + 12 * sigmas).max(axis=-1))
 
     def cdf(x):
-        return np.vecdot(ndtr((x[..., None] - means) / sigmas), weights)
+        return np.vecdot(_normal_cdf((x[..., None] - means) / sigmas), weights)
 
     # widen brackets for extreme quantiles
     for _ in range(64):
@@ -245,11 +257,14 @@ def _invert_mixture_cdf(u, weights, means, sigmas, tol):
             break
         hi = np.where(bad, hi + (hi - lo), hi)
     scaled_weights = weights / (sigmas * math.sqrt(2 * math.pi))
-    x = 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.vecdot(means, weights)
+        guess = mu + np.sqrt(np.vecdot(sigmas * sigmas + means * means, weights) - mu * mu) * (
+            4.91 * (u ** 0.14 - (1 - u) ** 0.14))
+        x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
         for _ in range(200):
             z = (x[..., None] - means) / sigmas
-            err = np.vecdot(ndtr(z), weights) - u
+            err = np.vecdot(_normal_cdf(z), weights) - u
             live = ~((np.abs(err) <= tol) | ((hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(x))))
             if not live.any():
                 break

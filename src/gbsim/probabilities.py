@@ -131,7 +131,8 @@ def tor_as_hafnian_sum(state, pattern, photon_cutoff):
         raise ValueError("photon cutoff below the click count")
     sigma, kernel, sqdet = state_kernel(state)
     series = torontonian_series(reduce_matrix(kernel.matrix, pattern), photon_cutoff)
-    partials = [(total, math.fsum(series[pattern.size:total + 1])) for total in range(pattern.size, photon_cutoff + 1)]
+    terms = series.tolist()
+    partials = [(total, math.fsum(terms[pattern.size:total + 1])) for total in range(pattern.size, photon_cutoff + 1)]
     return TorHafnianSum(pattern, tuple(partials), partials[-1][1],
                          sqdet * _photon_law(kernel, sqdet, photon_cutoff)[1])
 
@@ -222,7 +223,7 @@ def _photon_law(kernel, sqdet, cutoff):
     P(N = n) = [eta^n] det(1 - eta O)^(-1/2) / sqrt(det Sigma): the full-kernel term of the engine's eta series.
     """
     law = _eta_series(cutoff)(_real_form(kernel.matrix)[None])[0] / sqdet
-    return law, max(0.0, 1.0 - math.fsum(law))
+    return law, max(0.0, 1.0 - math.fsum(law.tolist()))
 
 
 def _covariance_photon_moments(V):
@@ -311,7 +312,7 @@ def _l1_patternwise(gaps, series, sqdet, tail):
     for mask, (clicked, gap) in enumerate(gaps.items()):
         if clicked:
             terms.append(abs(gap))
-            terms.extend(series[mask, len(clicked) + 1:] / sqdet)
+            terms.extend((series[mask, len(clicked) + 1:] / sqdet).tolist())
     return 0.5 * math.fsum(terms), 0.5 * tail + 1e-12
 
 

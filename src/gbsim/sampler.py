@@ -80,10 +80,10 @@ def _set_mixture_arrays(obj, dim):
     weights = np.atleast_1d(np.array(obj.weights, dtype=float))
     covs = np.array(obj.covs, dtype=float).reshape(len(weights), dim, dim)
     means = np.array(obj.means, dtype=float).reshape(len(weights), dim)
-    scale = math.fsum(np.abs(weights))  # finite exactly when every weight is
+    scale = math.fsum(np.abs(weights).tolist())  # finite exactly when every weight is
     if not (math.isfinite(scale) and np.isfinite(covs).all() and np.isfinite(means).all()):
         raise ValueError("mixture weights, covariances and means must be finite")
-    total = math.fsum(weights)
+    total = math.fsum(weights.tolist())
     if abs(total - 1.0) > WEIGHT_TOL * max(1.0, scale):
         raise NumericalError(f"mixture weights sum to {total!r}, expected 1")
     for name, arr in (("weights", weights), ("covs", covs), ("means", means)):
@@ -360,7 +360,9 @@ def _walk_tree(source, order, draws):
         for nodes, total, members, (labels, probs, counts) in groups:
             inner = scaled[nodes]
             num = math.fsum(inner.tolist())
-            p = _clamp_probability(num / total, f"no-click on mode {label}")
+            p = num / total
+            if not 0.0 <= p <= 1.0:  # NaN too: the clamp logs a clip and raises beyond its tolerance
+                p = _clamp_probability(p, f"no-click on mode {label}")
 
             def floor(bit):  # 2^-53 sum|terms| / |total|, the terms the in-children and, for a click, the out-children
                 return 2.0 ** -53 * float(np.abs(inner).sum() + bit * np.abs(factor[nodes]).sum()) / abs(total)

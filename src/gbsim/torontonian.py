@@ -28,6 +28,7 @@ transform of Bjorklund-Husfeldt-Kaski-Koivisto, arXiv:cs/0611101).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -146,12 +147,20 @@ def _minor_terms(R, start, stop):
 
 
 def _fsum(terms):
-    """Exact (Shewchuk) sum over the first axis, real and imaginary parts apart."""
+    """Exact (Shewchuk) sum over the first axis, real and imaginary parts apart.
+
+    ``math.fsum`` reads Python floats (``tolist``), 1.4-3.6x faster than iterating NumPy scalars at 4-16,384
+    terms. Longer arrays are converted 2^CHUNK_BITS terms at a time: a float list takes four times its array's
+    memory, so only one chunk's list is alive at once.
+    """
     if np.iscomplexobj(terms):
         return _fsum(terms.real) + 1j * _fsum(terms.imag)
-    if terms.ndim == 1:
-        return math.fsum(terms)
-    return np.array([math.fsum(column) for column in terms.T])
+    if terms.ndim > 1:
+        return np.array([_fsum(column) for column in terms.T])
+    chunk = 1 << CHUNK_BITS
+    if len(terms) <= chunk:
+        return math.fsum(terms.tolist())
+    return math.fsum(itertools.chain.from_iterable(terms[i:i + chunk].tolist() for i in range(0, len(terms), chunk)))
 
 
 def _powerset_terms(terms_of, modes):
@@ -262,7 +271,7 @@ def torontonian(O):
     if modes == 0:
         return TorontonianResult(1.0, 1, 1.0, "empty", False, 0.0)
     terms = _tor_terms(O.matrix)
-    value = -math.fsum(terms) if _SIGN_FLIP else math.fsum(terms)
+    value = -_fsum(terms) if _SIGN_FLIP else _fsum(terms)
     if not math.isfinite(value):
         raise NumericalError("Torontonian summation overflowed")
     np.abs(terms, out=terms)

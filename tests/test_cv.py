@@ -30,6 +30,7 @@ from gbsim.cv import (
     OutcomeDensity,
     _conditional_components,
     _invert_mixture_cdf,
+    _normal_cdf,
     _unit_probe_points,
     measure_all_cv,
     paired_source_state,
@@ -243,6 +244,27 @@ def _cdf_residual(u, weights, means, sigmas):
     return np.abs(np.sum(ndtr((x[..., None] - means) / sigmas) * weights, axis=-1) - u)
 
 
+class TestNormalCdf:
+    def test_matches_scipy_ndtr(self):
+        # one float64 eps absolute everywhere; relative, 4 (1 + z^2) eps where ndtr is a normal float: a
+        # relative eps in z moves Phi(z) by about z^2 eps relative in the lower tail. Below z = -37.7 ndtr
+        # flushes to 0 where erfc still gives subnormals, within the absolute bound.
+        eps = np.finfo(float).eps
+        z = np.linspace(-38.0, 9.0, 47_001)
+        ours, ref = _normal_cdf(z), ndtr(z)
+        err = np.abs(ours - ref)
+        assert err.max() <= eps
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() > 45_000
+        assert (err[normal] <= 4 * (1 + z[normal] ** 2) * eps * ref[normal]).all()
+
+    def test_special_values(self):
+        z = np.array([[-np.inf, np.inf], [np.nan, 0.0], [-0.0, 1.0]])
+        ours = _normal_cdf(z)
+        assert ours.shape == z.shape and ours.dtype == float
+        np.testing.assert_array_equal(ours, ndtr(z))
+
+
 class TestInverseCdf:
     QUANTILES = np.array([0.0, 1e-300, 1e-13, 0.25, 0.5, 0.75, 1 - 1e-13, np.nextafter(1.0, 0.0)])
 
@@ -290,6 +312,21 @@ class TestInverseCdf:
         assert w.shape == (64, 8) and np.ptp(w, axis=0).max() > 0
         p_cdf = np.sum(ndtr((ps[:, None] - mu) / sig) * w, axis=-1)
         assert np.abs(p_cdf - u[:, 1]).max() <= CDF_TOL
+
+    def test_quantiles_that_stalled_from_the_midpoint(self):
+        # started at the bracket midpoint, these rows of the r = 1 x marginal took in-bracket Newton steps that
+        # barely shrank the bracket and ran out of iterations; the moment-matched start converges
+        mixture, _ = herald(paired_source_state(1, 1, 1.0), [2], [1])
+        density = outcome_density(marginal(mixture, 1), homodyne())
+        u = np.array([0.2554648989342906, 0.25545778737046654, 0.7445302949273511, 0.7445335801655323])
+        sigmas = np.sqrt(density.covs[:, 0, 0])
+        assert _cdf_residual(u, density.weights, density.means[:, 0], sigmas).max() <= CDF_TOL
+
+    def test_start_outside_bracket_takes_midpoint(self):
+        # two far-apart modes: the moment-matched normal is about 100 wide, so its extreme quantiles lie beyond
+        # the components' +-12 sigma bracket and those rows start from its midpoint
+        weights, means, sigmas = np.array([0.5, 0.5]), np.array([-100.0, 100.0]), np.array([1.0, 1.0])
+        assert _cdf_residual(self.QUANTILES, weights, means, sigmas).max() <= CDF_TOL
 
     def test_batch_rows_equal_solo_solves(self):
         # a converged row stops moving, so whatever else is in the batch each row returns its solo solve's bits;

@@ -465,10 +465,34 @@ class TestCliImport:
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy.special adds about 0.2 s of CPU and 300 modules to a call's start-up, and
-        # scipy.stats 0.7 s and 430 modules more; only cv and validate import scipy.special, lazily
+        # scipy.stats 0.7 s and 430 modules more; only validate imports scipy.special, lazily
         code = "import sys, gbsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_cv_runs_without_scipy(self, tmp_path):
+        # with scipy unimportable, cv pipelines C and D and sample_outcomes still run: no cv path needs scipy
+        code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from gbsim.cli import main
+from gbsim.cv import homodyne, outcome_density, paired_source_state, sample_outcomes
+from gbsim.sampler import herald
+for pipeline in "CD":
+    assert main(["--seed", "3", "cv", "--pipeline", pipeline, "--modes", "3", "--shots", "2", "--heralds", "2",
+                 "--out", f"{pipeline}.jsonl"]) == 0
+mixture, _ = herald(paired_source_state(1, 1, 1.0), [2], [1])
+points = sample_outcomes(outcome_density(mixture, homodyne()), 50, np.random.default_rng(1))
+assert points.shape == (50, 2) and np.isfinite(points).all()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=tmp_path, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "['scipy']"
+        for pipeline in "CD":
+            records = [json.loads(line) for line in (tmp_path / f"{pipeline}.jsonl").read_text().splitlines()]
+            assert len(records) == 2 and all(len(rec["cv"]) == 3 for rec in records)
 
     @pytest.mark.parametrize(
         ("argv", "loads_scipy"),
@@ -479,13 +503,13 @@ class TestCliImport:
             (("herald", "{state}", "--click", "1"), False),
             (("tor", "{kernel}"), False),
             (("--seed", "1", "cv", "--pipeline", "D", "--modes", "2", "--shots", "2", "--heralds", "1",
-              "--out", "{dir}/d.jsonl"), True),
+              "--out", "{dir}/d.jsonl"), False),
             (("--seed", "5", "validate", "--scale", "small"), True),
         ],
     )
     def test_command_from_cold_start(self, tmp_path, argv, loads_scipy):
-        # a fresh interpreter per command: only cv and validate reach scipy, and of it
-        # only scipy.special (never scipy.stats); their lazy imports work from cold
+        # a fresh interpreter per command: only validate reaches scipy, and of it
+        # only scipy.special (never scipy.stats); its lazy import works from cold
         state_path, kernel_path = tmp_path / "sq.json", tmp_path / "kernel.json"
         save_state(squeezed_state([0.5, 0.5]), state_path)
         t = math.tanh(1.0)
